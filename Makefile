@@ -70,9 +70,11 @@ alloc-gate:
 
 # Concurrent front-end shakeout: the kernel-vs-serve differential
 # test and the all-cores hammer, both under the race detector (see
-# DESIGN.md Sec. 11).
+# DESIGN.md Sec. 11), then ten rounds of the park/probe stress test
+# on the color buckets' occupancy index.
 serve-smoke:
 	$(GO) test -race -run 'TestDifferentialKernelVsServe|TestHammer' ./internal/serve
+	$(GO) test -race -count=10 -run 'TestParkProbeStress' ./internal/serve
 
 # Wire-path shakeout: the client<->daemon differential (byte-identical
 # scheduler results and serving counters under all three admission

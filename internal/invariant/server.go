@@ -35,11 +35,17 @@ func ownerLabel(o uint8) string {
 //  6. The shards partition the machine. Every bank color is owned by
 //     exactly one shard — the shard of its node — and the shards
 //     together cover all bank colors; every frame parked or free on a
-//     shard lies in that shard's node range; and every outstanding
-//     frame either matches its owner's color claim or carries a loan
+//     shard lies in that shard's node range; every color bucket's
+//     occupancy bit is set exactly when the bucket holds frames (a
+//     clear bit over a non-empty bucket would strand its frames, as
+//     every probe skips the bucket); and every outstanding frame
+//     either matches its owner's color claim or carries a loan
 //     recording which ladder rung degraded it. A same-node color
 //     borrow never holds a color inside another client's claim — the
-//     plan-disjointness rule, enforced across shards.
+//     plan-disjointness rule, enforced across shards — and the claim
+//     counts the ladder consults count exactly the live clients'
+//     claims. Retired clients (serve.Client.Close) are not live: they
+//     claim nothing, and a frame one still holds is a violation.
 func AuditServer(s *serve.Server) *Report {
 	m := s.Mapping()
 	r := &Report{Frames: m.Frames()}
@@ -78,14 +84,17 @@ func AuditServer(s *serve.Server) *Report {
 			len(bankOwner), m.NumBankColors())
 	}
 
+	// Owner labels appear only in violation messages, so each is
+	// formatted once per shard, bucket or client, never per frame.
 	framesPerNode := m.Frames() / uint64(m.Nodes())
 	for i := 0; i < s.NumShards(); i++ {
 		node := s.ShardNode(i)
 		lo := phys.Frame(uint64(node) * framesPerNode)
 		hi := lo + phys.Frame(framesPerNode)
+		zoneLabel := fmt.Sprintf("shard %d buddy zone", i)
 		s.VisitShardFree(i, func(head phys.Frame, order int) {
 			for f := head; f < head+phys.Frame(uint64(1)<<order); f++ {
-				claim(f, ownerBuddy, fmt.Sprintf("shard %d buddy zone", i))
+				claim(f, ownerBuddy, zoneLabel)
 				r.BuddyFree++
 				if f < lo || f >= hi {
 					r.addf("shard %d (node %d) zone holds frame %d outside node range [%d,%d)",
@@ -96,34 +105,57 @@ func AuditServer(s *serve.Server) *Report {
 				}
 			}
 		})
-		s.VisitShardParked(i, func(bc, lc int, f phys.Frame) {
-			claim(f, ownerColorList, fmt.Sprintf("shard %d color list [%d][%d]", i, bc, lc))
-			r.Parked++
-			if !m.ValidFrame(f) {
+		s.VisitShardBuckets(i, func(bc, lc int, frames []phys.Frame, occupied bool) {
+			if len(frames) == 0 {
+				if occupied {
+					r.addf("shard %d color list [%d][%d] is empty but its occupancy bit is set", i, bc, lc)
+				}
 				return
 			}
-			if m.NodeOfFrame(f) != node {
-				r.addf("frame %d of node %d parked on shard %d, which serves node %d",
-					f, m.NodeOfFrame(f), i, node)
+			if !occupied {
+				r.addf("shard %d color list [%d][%d] holds %d frames but its occupancy bit is clear; every probe skips them",
+					i, bc, lc, len(frames))
 			}
-			// Recompute from the bit-gather reference, as Audit does.
-			if wantBC, wantLC := m.GatherBankColor(f.Base()), m.GatherLLCColor(f.Base()); wantBC != bc || wantLC != lc {
-				r.addf("frame %d parked on shard %d color list [%d][%d] but hashes to (%d,%d) under the mapping",
-					f, i, bc, lc, wantBC, wantLC)
-			}
-			if !s.ColoredFrame(f) {
-				r.addf("frame %d parked on shard %d color list [%d][%d] without the colored ownership mark", f, i, bc, lc)
+			listLabel := fmt.Sprintf("shard %d color list [%d][%d]", i, bc, lc)
+			for _, f := range frames {
+				claim(f, ownerColorList, listLabel)
+				r.Parked++
+				if !m.ValidFrame(f) {
+					continue
+				}
+				if m.NodeOfFrame(f) != node {
+					r.addf("frame %d of node %d parked on shard %d, which serves node %d",
+						f, m.NodeOfFrame(f), i, node)
+				}
+				// Recompute from the bit-gather reference, as Audit does.
+				if wantBC, wantLC := m.GatherBankColor(f.Base()), m.GatherLLCColor(f.Base()); wantBC != bc || wantLC != lc {
+					r.addf("frame %d parked on shard %d color list [%d][%d] but hashes to (%d,%d) under the mapping",
+						f, i, bc, lc, wantBC, wantLC)
+				}
+				if !s.ColoredFrame(f) {
+					r.addf("frame %d parked on shard %d color list [%d][%d] without the colored ownership mark", f, i, bc, lc)
+				}
 			}
 		})
 	}
 
-	clients := s.Clients()
+	live := s.Clients() // in ID order, for deterministic violation order
+	clients := make(map[int]*serve.Client, len(live))
+	for _, c := range live {
+		clients[c.ID()] = c
+	}
+	clientLabel := make(map[int]string)
 	holder := make(map[phys.Frame]int)
 	var held []phys.Frame // ascending, for deterministic violation order
 	s.VisitOutstanding(func(f phys.Frame, clientID int) {
-		claim(f, ownerClient, fmt.Sprintf("client %d", clientID))
+		label, ok := clientLabel[clientID]
+		if !ok {
+			label = fmt.Sprintf("client %d", clientID)
+			clientLabel[clientID] = label
+		}
+		claim(f, ownerClient, label)
 		r.Mapped++
-		if clientID >= len(clients) {
+		if clients[clientID] == nil {
 			r.addf("frame %d owned by unknown client %d", f, clientID)
 			return
 		}
@@ -148,18 +180,18 @@ func AuditServer(s *serve.Server) *Report {
 		} else if got != clientID {
 			r.addf("loan of frame %d recorded for client %d but the frame is held by client %d", f, clientID, got)
 		}
-		if rung != kernel.RungBorrowColor || clientID >= len(clients) {
+		c := clients[clientID]
+		if rung != kernel.RungBorrowColor || c == nil {
 			return
 		}
 		// Same rule as Audit check 5: a color borrow must not sit
 		// inside another client's private claim. Uncolored borrowers
 		// make no color claim and are skipped.
-		c := clients[clientID]
 		if !c.UsingBank() && !c.UsingLLC() {
 			return
 		}
 		bc, lc := m.FrameBankColor(f), m.FrameLLCColor(f)
-		for _, o := range clients {
+		for _, o := range live {
 			if o.ID() == clientID {
 				continue
 			}
@@ -201,6 +233,31 @@ func AuditServer(s *serve.Server) *Report {
 			r.addf("colored frame %d held by uncolored client %d with no loan recorded", f, clientID)
 		case !colored && claimed:
 			r.addf("zone frame %d held by colored client %d with no loan recorded", f, clientID)
+		}
+	}
+
+	// Check 6, claim half: the counts the ladder's unassigned rung
+	// consults must count exactly the live clients' claims — a leaked
+	// count hides a free color, a missing one lends a claimed color.
+	wantBank := make([]int, m.NumBankColors())
+	wantLLC := make([]int, m.NumLLCColors())
+	for _, c := range live {
+		for _, bc := range c.BankColors() {
+			wantBank[bc]++
+		}
+		for _, lc := range c.LLCColors() {
+			wantLLC[lc]++
+		}
+	}
+	bank, llc := s.ClaimCounts()
+	for bc, n := range bank {
+		if n != wantBank[bc] {
+			r.addf("bank color %d has claim count %d but %d live clients claim it", bc, n, wantBank[bc])
+		}
+	}
+	for lc, n := range llc {
+		if n != wantLLC[lc] {
+			r.addf("LLC color %d has claim count %d but %d live clients claim it", lc, n, wantLLC[lc])
 		}
 	}
 

@@ -555,9 +555,11 @@ func (b *serveBackend) Open(task, core int) (Allocator, error) {
 	return serveAlloc{c}, nil
 }
 
+// serveAlloc's Close retires the client once the task has drained,
+// releasing its color claim as an exiting task does in the kernel.
 type serveAlloc struct{ c *serve.Client }
 
 func (a serveAlloc) Alloc() (phys.Frame, error)                 { return a.c.Alloc() }
 func (a serveAlloc) Realloc(old phys.Frame) (phys.Frame, error) { return a.c.Realloc(old) }
 func (a serveAlloc) Free(f phys.Frame) error                    { return a.c.Free(f) }
-func (a serveAlloc) Close() error                               { return nil }
+func (a serveAlloc) Close() error                               { a.c.Close(); return nil }

@@ -161,20 +161,20 @@ func (s *Server) allocPreferredFor(c *Client) (phys.Frame, bool) {
 		// Try every shard holding one of the client's bank colors,
 		// starting from the cursor-routed one.
 		start := s.routeShard(c, seq)
-		if f, ok := start.popMatch(c, seq, s); ok {
+		if f, ok := start.popMatch(c, seq); ok {
 			return f, true
 		}
 		for _, sh := range s.shards {
 			if sh == start || len(c.banksOn[sh.node]) == 0 {
 				continue
 			}
-			if f, ok := sh.popMatch(c, seq, s); ok {
+			if f, ok := sh.popMatch(c, seq); ok {
 				return f, true
 			}
 		}
 		return 0, false
 	}
-	return s.shards[c.nodeOrder[0]].popMatch(c, seq, s)
+	return s.shards[c.nodeOrder[0]].popMatch(c, seq)
 }
 
 // compactor is the per-shard background worker: each kick runs

@@ -86,7 +86,7 @@ func drainAll(t *testing.T, c *serve.Client, owned map[phys.Frame]bool) {
 // settles them: ownership transfers through the relocator, the ledger
 // and rung mirror shrink together, and the auditor stays green.
 func TestCompactShardSettlesColoredLoans(t *testing.T) {
-	top, m := bootPair(t)
+	top, m := bootPair(t, phys.DefaultSeparable)
 	s, err := serve.New(top, m, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestCompactShardSettlesColoredLoans(t *testing.T) {
 // changes nothing, and the reserved replacement frame goes back to
 // supply instead of leaking.
 func TestCompactShardDeclineKeepsLoan(t *testing.T) {
-	top, m := bootPair(t)
+	top, m := bootPair(t, phys.DefaultSeparable)
 	s, err := serve.New(top, m, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestCompactShardDeclineKeepsLoan(t *testing.T) {
 // sit on the home node and must be left alone, exactly like the
 // kernel daemon's rule.
 func TestCompactUncoloredMovesOnlyRemoteLoans(t *testing.T) {
-	top, m := bootPair(t)
+	top, m := bootPair(t, phys.DefaultSeparable)
 	s, err := serve.New(top, m, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -382,7 +382,7 @@ func TestCompactUncoloredMovesOnlyRemoteLoans(t *testing.T) {
 // balance) checks it leaked or double-owned nothing. Run under -race
 // in CI via the adaptive-smoke job.
 func TestCompactHammerSixteenClients(t *testing.T) {
-	top, m := bootPair(t)
+	top, m := bootPair(t, phys.DefaultSeparable)
 	cores := make([]topology.CoreID, top.Cores())
 	for i := range cores {
 		cores[i] = topology.CoreID(i)

@@ -21,10 +21,34 @@ import (
 
 const diffMem = 64 << 20
 
-func bootPair(t *testing.T) (*topology.Topology, *phys.Mapping) {
+// mapper builds a physical mapping for a machine of memBytes over
+// nodes NUMA nodes.
+type mapper func(memBytes uint64, nodes int) (*phys.Mapping, error)
+
+// mappers are the mappings the differential and the hammers run
+// under: the separable default, whose color matrix is full, and the
+// Opteron's overlapped bits, whose matrix is sparse — only some
+// (bank, LLC) pairs exist, so some of a claim's buckets never hold a
+// frame.
+var mappers = []struct {
+	name string
+	new  mapper
+}{
+	{"DefaultSeparable", phys.DefaultSeparable},
+	{"OpteronOverlapped", phys.OpteronOverlapped},
+}
+
+// forEachMapper runs fn as one subtest per mapping.
+func forEachMapper(t *testing.T, fn func(t *testing.T, newMapping mapper)) {
+	for _, mp := range mappers {
+		t.Run(mp.name, func(t *testing.T) { fn(t, mp.new) })
+	}
+}
+
+func bootPair(t *testing.T, newMapping mapper) (*topology.Topology, *phys.Mapping) {
 	t.Helper()
 	top := topology.Opteron6128()
-	m, err := phys.DefaultSeparable(diffMem, top.Nodes())
+	m, err := newMapping(diffMem, top.Nodes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +80,13 @@ func auditServerClean(t *testing.T, s *serve.Server) *invariant.Report {
 // check 6. The server side allocates from one goroutine per client,
 // so `go test -race` checks the interleaving the kernel never has.
 func TestDifferentialKernelVsServe(t *testing.T) {
-	top, m := bootPair(t)
+	forEachMapper(t, differentialKernelVsServe)
+}
+
+func differentialKernelVsServe(t *testing.T, newMapping mapper) {
+	top, m := bootPair(t, newMapping)
 	cores := []topology.CoreID{0, 4, 8, 12}
-	const perTask = 300 // MEMLLC claim capacity here is 1024 frames each
+	const perTask = 300 // MEMLLC claim capacity here is 1024 frames each, under either mapping
 
 	asn, err := policy.Plan(policy.MEMLLC, m, top, cores)
 	if err != nil {
@@ -108,7 +136,7 @@ func TestDifferentialKernelVsServe(t *testing.T) {
 
 	// Concurrent subject: the same plan on the sharded server, all
 	// clients allocating at once.
-	fresh, err := phys.DefaultSeparable(diffMem, top.Nodes())
+	fresh, err := newMapping(diffMem, top.Nodes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +195,9 @@ func TestDifferentialKernelVsServe(t *testing.T) {
 // hammer churns the server from every core at once: colored clients
 // under a 16-way MEM+LLC plan plus allocation/free churn, tolerating
 // backpressure, then a full drain and audit. Run under -race in CI.
-func hammer(t *testing.T, cfg serve.Config, opsPerClient int) {
+func hammer(t *testing.T, newMapping mapper, cfg serve.Config, opsPerClient int) {
 	t.Helper()
-	top, m := bootPair(t)
+	top, m := bootPair(t, newMapping)
 	cores := make([]topology.CoreID, top.Cores())
 	for i := range cores {
 		cores[i] = topology.CoreID(i)
@@ -202,48 +230,7 @@ func hammer(t *testing.T, cfg serve.Config, opsPerClient int) {
 		wg.Add(1)
 		go func(i int, c *serve.Client) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(i) + 1))
-			var owned []phys.Frame
-			for op := 0; op < opsPerClient; op++ {
-				if len(owned) > 0 && rng.Intn(10) < 3 {
-					j := rng.Intn(len(owned))
-					if err := c.Free(owned[j]); err != nil {
-						errs[i] = err
-						return
-					}
-					owned[j] = owned[len(owned)-1]
-					owned = owned[:len(owned)-1]
-					continue
-				}
-				f, err := c.Alloc()
-				switch {
-				case errors.Is(err, serve.ErrBusy):
-					runtime.Gosched() // backpressure: shed and retry later
-					continue
-				case errors.Is(err, serve.ErrNoMemory):
-					// Machine-wide exhaustion: release something and
-					// keep going.
-					if len(owned) == 0 {
-						continue
-					}
-					if err := c.Free(owned[len(owned)-1]); err != nil {
-						errs[i] = err
-						return
-					}
-					owned = owned[:len(owned)-1]
-					continue
-				case err != nil:
-					errs[i] = err
-					return
-				}
-				owned = append(owned, f)
-			}
-			for _, f := range owned {
-				if err := c.Free(f); err != nil {
-					errs[i] = err
-					return
-				}
-			}
+			errs[i] = churn(c, rand.New(rand.NewSource(int64(i)+1)), opsPerClient)
 		}(i, c)
 	}
 	wg.Wait()
@@ -263,11 +250,57 @@ func hammer(t *testing.T, cfg serve.Config, opsPerClient int) {
 }
 
 func TestHammerDefaults(t *testing.T) {
-	hammer(t, serve.Config{}, 400)
+	forEachMapper(t, func(t *testing.T, newMapping mapper) {
+		hammer(t, newMapping, serve.Config{}, 400)
+	})
 }
 
 // Tiny queues force the ErrBusy path and single-request batches while
 // the same invariants must hold.
 func TestHammerTinyQueues(t *testing.T) {
-	hammer(t, serve.Config{QueueDepth: 4, HighWater: 2, BatchMax: 2, Stripes: 2}, 250)
+	forEachMapper(t, func(t *testing.T, newMapping mapper) {
+		hammer(t, newMapping, serve.Config{QueueDepth: 4, HighWater: 2, BatchMax: 2, Stripes: 2}, 250)
+	})
+}
+
+// churn runs ops random allocations (70%) and frees (30%) on c, then
+// frees what it holds. Backpressure sheds the operation; machine-wide
+// exhaustion releases a frame and keeps going.
+func churn(c *serve.Client, rng *rand.Rand, ops int) error {
+	var owned []phys.Frame
+	for op := 0; op < ops; op++ {
+		if len(owned) > 0 && rng.Intn(10) < 3 {
+			j := rng.Intn(len(owned))
+			if err := c.Free(owned[j]); err != nil {
+				return err
+			}
+			owned[j] = owned[len(owned)-1]
+			owned = owned[:len(owned)-1]
+			continue
+		}
+		f, err := c.Alloc()
+		switch {
+		case errors.Is(err, serve.ErrBusy):
+			runtime.Gosched() // backpressure: shed and retry later
+			continue
+		case errors.Is(err, serve.ErrNoMemory):
+			if len(owned) == 0 {
+				continue
+			}
+			if err := c.Free(owned[len(owned)-1]); err != nil {
+				return err
+			}
+			owned = owned[:len(owned)-1]
+			continue
+		case err != nil:
+			return err
+		}
+		owned = append(owned, f)
+	}
+	for _, f := range owned {
+		if err := c.Free(f); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -114,23 +114,23 @@ func (s *Server) VisitShardFree(i int, fn func(head phys.Frame, order int)) {
 	sh.zoneMu.Unlock()
 }
 
-// VisitShardParked visits every frame parked on shard i's color
-// lists in deterministic bucket-then-LIFO order, with the bucket's
-// global bank color and LLC color.
-func (s *Server) VisitShardParked(i int, fn func(bc, lc int, f phys.Frame)) {
+// VisitShardBuckets visits every color bucket of shard i in bucket
+// order with its global bank color and LLC color, its parked frames
+// (oldest first; pops take from the end), and its occupancy bit. The
+// frames and the bit are read together under the bucket's stripe;
+// the frames slice is reused between calls, so fn must not retain it.
+func (s *Server) VisitShardBuckets(i int, fn func(bc, lc int, frames []phys.Frame, occupied bool)) {
 	sh := s.shards[i]
+	var frames []phys.Frame
 	// The outer slice is immutable after newShard; each bucket is read
 	// under its stripe below.
 	for b := range sh.lists { //tintvet:ignore guardedby: outer slice immutable after construction; buckets copied under their stripe
-		bc := sh.banks[b/sh.nLLC]
-		lc := b % sh.nLLC
 		mu := &sh.stripes[b%len(sh.stripes)]
 		mu.Lock()
-		frames := append([]phys.Frame(nil), sh.lists[b]...)
+		frames = append(frames[:0], sh.lists[b]...)
+		occupied := sh.occupied(b)
 		mu.Unlock()
-		for _, f := range frames {
-			fn(bc, lc, f)
-		}
+		fn(sh.banks[b/sh.nLLC], b%sh.nLLC, frames, occupied)
 	}
 }
 
@@ -167,10 +167,30 @@ func (s *Server) VisitLoans(fn func(f phys.Frame, clientID int, rung kernel.Rung
 	}
 }
 
-// Clients returns the registered clients in registration (ID) order.
+// Clients returns the live clients — registered and not yet closed —
+// in registration (ID) order.
 func (s *Server) Clients() []*Client {
 	s.clientMu.Lock()
-	out := append([]*Client(nil), s.clients...)
+	out := make([]*Client, 0, len(s.clients))
+	for _, c := range s.clients { //tintvet:ignore maporder: sorted by ID below
+		out = append(out, c)
+	}
 	s.clientMu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
+}
+
+// ClaimCounts returns how many live clients the server counts as
+// claiming each bank color and each LLC color — the counts the borrow
+// ladder's unassigned rung consults.
+func (s *Server) ClaimCounts() (bank, llc []int) {
+	bank = make([]int, len(s.assignedBank))
+	for i := range bank {
+		bank[i] = int(s.assignedBank[i].Load())
+	}
+	llc = make([]int, len(s.assignedLLC))
+	for i := range llc {
+		llc[i] = int(s.assignedLLC[i].Load())
+	}
+	return bank, llc
 }

@@ -64,7 +64,8 @@ var (
 	// ErrNoMemory reports machine-wide exhaustion: the borrow ladder
 	// swept every shard's zone and color lists and found nothing.
 	ErrNoMemory = errors.New("serve: out of memory on every shard")
-	// ErrClosed reports a request against a closed server.
+	// ErrClosed reports a request against a closed server or a
+	// retired client.
 	ErrClosed = errors.New("serve: server closed")
 	// ErrNotOwner reports a free of a frame the client never owned (or
 	// already freed) — the concurrent analogue of a double free.
@@ -149,8 +150,9 @@ type Server struct {
 	// on a color list or handed out through one. Such frames repark on
 	// free; uncolored frames rejoin their shard's buddy zone.
 	colored []atomic.Bool
-	// assignedBank/assignedLLC count how many clients claim each
+	// assignedBank/assignedLLC count how many live clients claim each
 	// color — the ladder's borrow-unassigned rung consults them.
+	// SetColors adds a client's claim and Client.Close takes it back.
 	assignedBank []atomic.Int32
 	assignedLLC  []atomic.Int32
 
@@ -160,8 +162,11 @@ type Server struct {
 	// keeps the free fast path off loanMu when nothing is loaned.
 	rungOf []atomic.Int32
 
+	// clients holds the live clients by ID; Client.Close removes one.
+	// IDs are never reused.
 	clientMu sync.Mutex
-	clients  []*Client //tintvet:guardedby clientMu
+	clients  map[int]*Client //tintvet:guardedby clientMu
+	nextID   int             //tintvet:guardedby clientMu
 
 	// compactKick has one buffered kick channel per shard while
 	// background compaction is enabled; nil when disabled.
@@ -196,6 +201,7 @@ func New(topo *topology.Topology, mapping *phys.Mapping, cfg Config) (*Server, e
 		assignedLLC:  make([]atomic.Int32, mapping.NumLLCColors()),
 		loans:        make(map[phys.Frame]Loan),
 		rungOf:       make([]atomic.Int32, mapping.Frames()),
+		clients:      make(map[int]*Client),
 		stop:         make(chan struct{}),
 	}
 	for n := 0; n < nodes; n++ {
@@ -257,8 +263,9 @@ func (s *Server) NewClient(core topology.CoreID) (*Client, error) {
 	c.req.c = c
 	c.req.resp = make(chan refillResult, 1)
 	s.clientMu.Lock()
-	c.id = len(s.clients)
-	s.clients = append(s.clients, c)
+	c.id = s.nextID
+	s.nextID++
+	s.clients[c.id] = c
 	s.clientMu.Unlock()
 	return c, nil
 }
@@ -287,7 +294,7 @@ func nodeOrderFor(topo *topology.Topology, core topology.CoreID) []int {
 // control block. Alloc and Free are safe to call concurrently with
 // other clients' calls (and with the client's own, though a client is
 // normally driven by one goroutine). SetColors must complete before
-// the first Alloc.
+// the first Alloc, and Close ends the client once it holds no frames.
 type Client struct {
 	srv       *Server
 	id        int
@@ -300,6 +307,7 @@ type Client struct {
 	llcColors  []int   // sorted owned LLC colors
 	banksOn    [][]int // node -> owned bank colors on that node
 	colorsSet  bool
+	retired    atomic.Bool // set by Close
 
 	// cursor rotates allocations over the client's color combinations
 	// so heap pages spread evenly, exactly as the kernel's comboCursor
@@ -357,6 +365,9 @@ func (c *Client) OwnsLLCColor(lc int) bool {
 // the client's first allocation.
 func (c *Client) SetColors(bank, llc []int) error {
 	s := c.srv
+	if c.retired.Load() {
+		return ErrClosed
+	}
 	if c.colorsSet {
 		return fmt.Errorf("serve: client %d colors already set", c.id)
 	}
@@ -391,6 +402,29 @@ func (c *Client) SetColors(bank, llc []int) error {
 	return nil
 }
 
+// Close retires the client: its color claim stops counting as
+// assigned, and the server no longer retains it, so a long-lived
+// server keeps only the clients still in use. The client must hold
+// no frames — free (or, in the daemon, reclaim) them first;
+// invariant.AuditServer flags any frame a retired client still holds.
+// Alloc and SetColors on a retired client fail with ErrClosed. Close
+// is idempotent.
+func (c *Client) Close() {
+	if !c.retired.CompareAndSwap(false, true) {
+		return
+	}
+	s := c.srv
+	for _, bc := range c.bankColors {
+		s.assignedBank[bc].Add(-1)
+	}
+	for _, lc := range c.llcColors {
+		s.assignedLLC[lc].Add(-1)
+	}
+	s.clientMu.Lock()
+	delete(s.clients, c.id)
+	s.clientMu.Unlock()
+}
+
 // Alloc hands the client one order-0 frame under its color claim: the
 // concurrent Algorithm 1. Colored clients hit their shard's striped
 // color lists, fall back to a batched refill, and finally walk the
@@ -399,7 +433,7 @@ func (c *Client) SetColors(bank, llc []int) error {
 // and ErrNoMemory only on machine-wide exhaustion.
 func (c *Client) Alloc() (phys.Frame, error) {
 	s := c.srv
-	if s.closed.Load() {
+	if s.closed.Load() || c.retired.Load() {
 		return 0, ErrClosed
 	}
 	if !c.usingBank && !c.usingLLC {
@@ -462,7 +496,7 @@ func (c *Client) Realloc(old phys.Frame) (phys.Frame, error) {
 func (s *Server) allocColored(c *Client) (phys.Frame, error) {
 	seq := c.cursor.Add(1) - 1
 	sh := s.routeShard(c, seq)
-	if f, ok := sh.popMatch(c, seq, s); ok {
+	if f, ok := sh.popMatch(c, seq); ok {
 		s.finishAlloc(c, f, kernel.RungNone)
 		s.stats.coloredAllocs.Add(1)
 		return f, nil
@@ -508,12 +542,12 @@ func (s *Server) allocDefault(c *Client) (phys.Frame, error) {
 	if s.cfg.DisableBorrow {
 		return 0, ErrNoMemory
 	}
-	if f, ok := s.shards[c.nodeOrder[0]].popAnyParked(s); ok {
+	if f, ok := s.shards[c.nodeOrder[0]].popAnyParked(); ok {
 		s.finishAlloc(c, f, kernel.RungBorrowColor)
 		return f, nil
 	}
 	for _, n := range c.nodeOrder[1:] {
-		if f, ok := s.shards[n].popAnyParked(s); ok {
+		if f, ok := s.shards[n].popAnyParked(); ok {
 			s.finishAlloc(c, f, kernel.RungRemote)
 			return f, nil
 		}
@@ -555,7 +589,7 @@ func (s *Server) borrow(c *Client, home *shard) (phys.Frame, kernel.Rung, bool) 
 	if err == nil {
 		return home.base + f, kernel.RungLocalUncolored, true
 	}
-	if f, ok := home.popAnyParked(s); ok {
+	if f, ok := home.popAnyParked(); ok {
 		return f, kernel.RungLocalUncolored, true
 	}
 	for _, n := range c.nodeOrder {
@@ -569,7 +603,7 @@ func (s *Server) borrow(c *Client, home *shard) (phys.Frame, kernel.Rung, bool) 
 		if err == nil {
 			return sh.base + f, kernel.RungRemote, true
 		}
-		if f, ok := sh.popAnyParked(s); ok {
+		if f, ok := sh.popAnyParked(); ok {
 			return f, kernel.RungRemote, true
 		}
 	}

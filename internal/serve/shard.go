@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -35,6 +36,15 @@ type shard struct {
 	stripes []sync.Mutex
 	lists   [][]phys.Frame //tintvet:guardedby stripes
 	parkedN atomic.Int64
+
+	// occ is the occupancy index over lists: bit b%64 of occ[b/64] is
+	// set exactly while bucket b holds frames. It is bucket state,
+	// written only under bucket b's stripe as the bucket turns
+	// non-empty or empty, and read without a lock as a hint: a clear
+	// bit lets a probe skip the bucket, a set bit is re-checked under
+	// the stripe. A frame always parks under its own colors, so a
+	// (bank, LLC) pair no frame carries keeps its bit clear forever.
+	occ []atomic.Uint64
 
 	// refillQ carries misses to the shard's worker; pending counts
 	// requests enqueued or being served and is capped at HighWater
@@ -92,6 +102,7 @@ func newShard(node int, base phys.Frame, zone *buddy.Allocator, m *phys.Mapping,
 	for i, bc := range banks {
 		localOf[bc] = i
 	}
+	nb := len(banks) * m.NumLLCColors()
 	return &shard{
 		node:    node,
 		base:    base,
@@ -100,7 +111,8 @@ func newShard(node int, base phys.Frame, zone *buddy.Allocator, m *phys.Mapping,
 		banks:   banks,
 		localOf: localOf,
 		stripes: make([]sync.Mutex, cfg.Stripes),
-		lists:   make([][]phys.Frame, len(banks)*m.NumLLCColors()),
+		lists:   make([][]phys.Frame, nb),
+		occ:     make([]atomic.Uint64, (nb+63)/64),
 		refillQ: make(chan *refillReq, cfg.QueueDepth),
 	}, nil
 }
@@ -113,15 +125,26 @@ func (sh *shard) park(f phys.Frame, s *Server) {
 	b := sh.localOf[bc]*sh.nLLC + lc
 	mu := &sh.stripes[b%len(sh.stripes)]
 	mu.Lock()
+	if len(sh.lists[b]) == 0 {
+		sh.occ[b/64].Or(1 << (b % 64))
+	}
 	sh.lists[b] = append(sh.lists[b], f)
 	mu.Unlock()
 	sh.parkedN.Add(1)
 }
 
+// occupied reads bucket b's occupancy bit without a lock.
+func (sh *shard) occupied(b int) bool {
+	return sh.occ[b/64].Load()&(1<<(b%64)) != 0
+}
+
 // popBucket pops the most recently parked frame of bucket b (the
 // kernel's LIFO order, so a lone client sees identical placement to
-// the sequential simulator).
+// the sequential simulator). An empty bucket costs one atomic load.
 func (sh *shard) popBucket(b int) (phys.Frame, bool) {
+	if !sh.occupied(b) {
+		return 0, false
+	}
 	mu := &sh.stripes[b%len(sh.stripes)]
 	mu.Lock()
 	l := sh.lists[b]
@@ -131,6 +154,9 @@ func (sh *shard) popBucket(b int) (phys.Frame, bool) {
 	}
 	f := l[len(l)-1]
 	sh.lists[b] = l[:len(l)-1]
+	if len(l) == 1 {
+		sh.occ[b/64].And(^(1 << (b % 64)))
+	}
 	mu.Unlock()
 	sh.parkedN.Add(-1)
 	return f, true
@@ -139,7 +165,10 @@ func (sh *shard) popBucket(b int) (phys.Frame, bool) {
 // popMatch pops a parked frame matching the client's color claim,
 // rotating the starting combination by seq so successive allocations
 // spread across the claim exactly as the kernel's comboCursor does.
-func (sh *shard) popMatch(c *Client, seq uint64, s *Server) (phys.Frame, bool) {
+// Under an overlapped mapping some of the claim's (bank, LLC) pairs
+// hold no frame at all; their buckets stay unoccupied, so the walk
+// passes them at the cost of one load each.
+func (sh *shard) popMatch(c *Client, seq uint64) (phys.Frame, bool) {
 	switch {
 	case c.usingBank && c.usingLLC:
 		banks := c.banksOn[sh.node]
@@ -153,9 +182,6 @@ func (sh *shard) popMatch(c *Client, seq uint64, s *Server) (phys.Frame, bool) {
 			k := (start + i) % total
 			bc := banks[k/nl]
 			lc := c.llcColors[k%nl]
-			if !s.mapping.ComboCompatible(bc, lc) {
-				continue
-			}
 			if f, ok := sh.popBucket(sh.localOf[bc]*sh.nLLC + lc); ok {
 				return f, true
 			}
@@ -227,16 +253,13 @@ func (sh *shard) popUnassigned(c *Client, s *Server) (phys.Frame, bool) {
 
 // popAnyParked pops any parked frame regardless of color — the
 // ladder's uncolored rungs, spending a colored page when the zones
-// are dry.
-func (sh *shard) popAnyParked(s *Server) (phys.Frame, bool) {
-	if sh.parkedN.Load() == 0 {
-		return 0, false
-	}
-	// The outer slice is immutable after newShard; only the buckets
-	// mutate, and popBucket takes the stripe for those.
-	for b := range sh.lists { //tintvet:ignore guardedby: outer slice immutable after construction; popBucket locks each bucket
-		if f, ok := sh.popBucket(b); ok {
-			return f, true
+// are dry. It walks the occupied buckets in ascending bucket order.
+func (sh *shard) popAnyParked() (phys.Frame, bool) {
+	for w := range sh.occ {
+		for set := sh.occ[w].Load(); set != 0; set &= set - 1 {
+			if f, ok := sh.popBucket(w*64 + bits.TrailingZeros64(set)); ok {
+				return f, true
+			}
 		}
 	}
 	return 0, false
@@ -397,7 +420,7 @@ func (sh *shard) serveBatch(s *Server, batch []*refillReq) {
 		// building a fresh slice per shatter.
 		still := 0
 		for _, req := range waiting {
-			if f, ok := sh.popMatch(req.c, req.seq, s); ok {
+			if f, ok := sh.popMatch(req.c, req.seq); ok {
 				done = append(done, servedReq{req: req, frame: f})
 			} else {
 				waiting[still] = req

@@ -187,9 +187,10 @@ func (c *Client) TaskStat(id uint32) (sched.TaskResult, error) {
 	return parseTaskResult(rp)
 }
 
-// Goodbye ends the session cleanly — the daemon acknowledges before
-// the connection drops, so a drained client that says Goodbye is
-// guaranteed to leave no frames behind — then closes the connection.
+// Goodbye ends the session cleanly — the daemon reclaims any frames
+// the session still holds and releases its color claim, then
+// acknowledges before the connection drops, so once Goodbye returns
+// the session has left nothing behind — then closes the connection.
 func (c *Client) Goodbye() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

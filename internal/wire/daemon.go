@@ -182,15 +182,18 @@ func (d *Daemon) session(conn net.Conn) {
 		bw:   bufio.NewWriter(conn),
 		conn: conn,
 	}
-	s.loop()
-	d.dropConn(conn, s)
+	bye := s.loop()
+	d.dropConn(conn, s, bye)
 }
 
-// dropConn closes and untracks the connection and reclaims whatever
-// frames the session still owns — in frame order, so the shard state
-// left behind is independent of the owned-set's map iteration order.
-func (d *Daemon) dropConn(conn net.Conn, s *session) {
-	_ = conn.Close() //tintvet:ignore errdrop: double close after peer loss is the normal path
+// dropConn ends a session. It reclaims whatever frames the session
+// still owns — in frame order, so the shard state left behind is
+// independent of the owned-set's map iteration order — and retires
+// the session's serve client, releasing its color claim. Only then
+// does it acknowledge a Goodbye, so a peer that proceeds on the ack
+// finds the session fully settled. Last, it closes and untracks the
+// connection.
+func (d *Daemon) dropConn(conn net.Conn, s *session, bye bool) {
 	var frames []phys.Frame
 	for f := range s.owned { //tintvet:ignore maporder: frames are sorted before any allocator call
 		frames = append(frames, f)
@@ -204,6 +207,13 @@ func (d *Daemon) dropConn(conn net.Conn, s *session) {
 		}
 		reclaimed++
 	}
+	if s.cl != nil {
+		s.cl.Close()
+	}
+	if bye {
+		s.reply(MsgGoodbyeAck, nil)
+	}
+	_ = conn.Close() //tintvet:ignore errdrop: double close after peer loss is the normal path
 	d.mu.Lock()
 	delete(d.conns, conn)
 	d.reclaimed += reclaimed
@@ -226,8 +236,9 @@ type session struct {
 }
 
 // loop runs the request/response exchange until the peer says
-// Goodbye, drops the connection, or breaks the protocol.
-func (s *session) loop() {
+// Goodbye (reported as true; dropConn sends the ack), drops the
+// connection, or breaks the protocol.
+func (s *session) loop() bool {
 	for {
 		t, p, err := ReadFrame(s.br, s.rbuf)
 		if err != nil {
@@ -236,17 +247,16 @@ func (s *session) loop() {
 			if !errors.Is(err, io.EOF) && !s.d.closing.Load() {
 				s.replyErr(err)
 			}
-			return
+			return false
 		}
 		if cap(p) > cap(s.rbuf) {
 			s.rbuf = p[:cap(p)]
 		}
 		if t == MsgGoodbye {
-			s.reply(MsgGoodbyeAck, nil)
-			return
+			return true
 		}
 		if !s.handle(t, p) {
-			return
+			return false
 		}
 	}
 }
