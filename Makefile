@@ -149,6 +149,8 @@ adaptive-smoke:
 fuzz:
 	$(GO) test -fuzz=FuzzMmap -fuzztime=30s ./internal/kernel
 	$(GO) test -fuzz=FuzzKernelInterleaving -fuzztime=30s ./internal/kernel
+	$(GO) test -fuzz=FuzzRadixPT -fuzztime=30s ./internal/kernel
+	$(GO) test -fuzz=FuzzWireFrame -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=30s ./internal/bench
 	$(GO) test -fuzz=FuzzSuiteRegistry -fuzztime=30s ./internal/suite

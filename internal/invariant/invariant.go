@@ -103,6 +103,13 @@ var ownerName = [...]string{"none", "buddy free list", "color list", "page table
 //     (Task.Repolicy) and compaction (CompactStep) never leak,
 //     double-settle, or silently drop a loan — the mirror is what
 //     freeFrame consults, so a divergence is a future lost loan.
+//  8. Every process's address space is coherent: its live regions are
+//     non-empty, strictly sorted and non-overlapping, and every
+//     resident page lies inside one of them. Munmap retires a region
+//     as a tombstone and a later pass compacts them away, so this
+//     catches both ways that can go wrong: a compaction that drops a
+//     live region, and a Munmap that retires a region but leaves its
+//     pages resident.
 //
 // (Check 6 is the serve layer's AuditServer, in server.go.)
 //
@@ -180,6 +187,7 @@ func Audit(k *kernel.Kernel) *Report {
 				}
 			})
 		}
+		checkAddressSpace(r, p)
 	}
 
 	r.Loans = uint64(k.Loans())
@@ -253,6 +261,38 @@ func Audit(k *kernel.Kernel) *Report {
 		}
 	}
 	return r
+}
+
+// checkAddressSpace is check 8 for one process: its live regions are
+// non-empty, strictly sorted and non-overlapping, and every resident
+// page lies inside one. Regions and pages both arrive in ascending
+// order, so one merge walk covers them in O(pages + regions). The
+// regions are counted first so their copy is one allocation.
+func checkAddressSpace(r *Report, p *kernel.Process) {
+	type span struct{ start, end uint64 }
+	n := 0
+	p.VisitRegions(func(uint64, uint64, *kernel.Task) { n++ })
+	live := make([]span, 0, n)
+	p.VisitRegions(func(start, end uint64, owner *kernel.Task) {
+		if end <= start {
+			r.addf("process %d region [%#x, %#x) of task %d is empty", p.ID(), start, end, owner.ID())
+		}
+		if n := len(live); n > 0 && start < live[n-1].end {
+			r.addf("process %d region [%#x, %#x) of task %d overlaps or precedes the region [%#x, %#x)",
+				p.ID(), start, end, owner.ID(), live[n-1].start, live[n-1].end)
+		}
+		live = append(live, span{start, end})
+	})
+	i := 0
+	p.VisitPages(func(vp uint64, f phys.Frame) {
+		va := vp << phys.PageShift
+		for i < len(live) && live[i].end <= va {
+			i++
+		}
+		if i == len(live) || va < live[i].start {
+			r.addf("process %d vpage %#x (frame %d) is resident outside every live region", p.ID(), vp, f)
+		}
+	})
 }
 
 // CheckBuddy verifies one buddy allocator's free-list structure in

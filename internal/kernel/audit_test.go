@@ -5,6 +5,8 @@
 package kernel_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/tintmalloc/tintmalloc/internal/invariant"
@@ -103,6 +105,68 @@ func TestAuditAcrossAllocationLifecycle(t *testing.T) {
 	r = mustAudit(t, k)
 	if r.Mapped != 0 || r.Unaccounted != 0 {
 		t.Errorf("after teardown: %+v", r)
+	}
+}
+
+// mapThree boots a kernel whose one task maps three 2-page regions
+// and touches the second page of each, and audits it clean.
+func mapThree(t *testing.T) (*kernel.Kernel, *kernel.Process, *kernel.Task, []uint64) {
+	t.Helper()
+	k := bootKernel(t, kernel.DefaultConfig())
+	proc := k.NewProcess()
+	task, err := proc.NewTask(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bases []uint64
+	for i := 0; i < 3; i++ {
+		va, err := task.Mmap(0, 2*phys.PageSize, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := task.Translate(va + phys.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		bases = append(bases, va)
+	}
+	mustAudit(t, k)
+	return k, proc, task, bases
+}
+
+// TestAuditFlagsStrandedPage retires a region as a tombstone while
+// its touched page stays resident and requires the auditor to name
+// that vpage: no Munmap can ever free it again, and nothing else
+// fails.
+func TestAuditFlagsStrandedPage(t *testing.T) {
+	k, proc, task, bases := mapThree(t)
+	va := bases[1] + phys.PageSize
+	f, _ := task.FrameOfVA(va)
+	proc.TombstoneRegion(bases[1])
+	err := invariant.Audit(k).Err()
+	want := fmt.Sprintf("process %d vpage %#x (frame %d) is resident outside every live region",
+		proc.ID(), va>>phys.PageShift, f)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("audit after tombstoning a resident region: %v\nwant a violation containing %q", err, want)
+	}
+}
+
+// TestAuditFlagsMisorderedRegions grows one region over its
+// successor and empties another, and requires the auditor to name
+// both: either breaks the sorted, non-overlapping order the region
+// index's binary search relies on.
+func TestAuditFlagsMisorderedRegions(t *testing.T) {
+	k, proc, task, bases := mapThree(t)
+	proc.SetRegionEnd(bases[0], bases[1]+phys.PageSize)
+	proc.SetRegionEnd(bases[2], bases[2])
+	err := invariant.Audit(k).Err()
+	for _, want := range []string{
+		fmt.Sprintf("process %d region [%#x, %#x) of task %d overlaps or precedes the region [%#x, %#x)",
+			proc.ID(), bases[1], bases[2], task.ID(), bases[0], bases[1]+phys.PageSize),
+		fmt.Sprintf("process %d region [%#x, %#x) of task %d is empty", proc.ID(), bases[2], bases[2], task.ID()),
+	} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("audit after corrupting the region order: %v\nwant a violation containing %q", err, want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/tintmalloc/tintmalloc/internal/phys"
@@ -134,3 +135,45 @@ func benchWalkSweep(b *testing.B, disableRadix bool) {
 
 func BenchmarkWalkSweepRadix(b *testing.B) { benchWalkSweep(b, false) }
 func BenchmarkWalkSweepMap(b *testing.B)   { benchWalkSweep(b, true) }
+
+// BenchmarkMunmapChurn is the heap's steady state under garbage-style
+// churn: 1,024 live 2-page regions, and each op unmaps a random one,
+// maps a replacement and touches both its pages. Munmap finds its
+// region by binary search and retires it as a tombstone, compacted
+// once half the index is dead, so neither it nor the index allocates.
+// The one allocation left is a fresh page-table leaf per 2 MiB of new
+// virtual address space (every 256 ops), which rounds to 0 allocs/op
+// at any real b.N; a -benchtime=1x run reports it whole.
+func BenchmarkMunmapChurn(b *testing.B) {
+	const live, pages = 1024, 2
+	task, err := benchBoot(b, DefaultConfig()).NewProcess().NewTask(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mapTouched := func() uint64 {
+		va, err := task.Mmap(0, pages*phys.PageSize, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for p := uint64(0); p < pages; p++ {
+			if _, _, err := task.Translate(va + p*phys.PageSize); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return va
+	}
+	bases := make([]uint64, live)
+	for i := range bases {
+		bases[i] = mapTouched()
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := rng.Intn(live)
+		if err := task.Munmap(bases[j], pages*phys.PageSize); err != nil {
+			b.Fatal(err)
+		}
+		bases[j] = mapTouched()
+	}
+}

@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/tintmalloc/tintmalloc/internal/invariant"
@@ -21,16 +22,32 @@ import (
 // as a TLB shootdown-coherence probe: a munmap, migrate or recolor
 // that misses an invalidation fails the very next audit.
 //
+// Unmapped regions are kept as retired, and the munmap operation also
+// probes them: munmap of a retired region and a touch inside one must
+// fail with ErrSegfault, and munmap of a live region with the wrong
+// length must fail and leave the region mapped and touchable. These
+// are the stale-region paths of the kernel's tombstoned region index.
+//
 // Encoding: each operation is 3 bytes [sel, arg, page]. sel%10 picks
 // the operation, (sel/10)%2 the task; arg and page select regions,
-// colors, sizes and offsets modulo whatever is live.
+// colors, sizes and offsets modulo whatever is live. For munmap,
+// page%4 picks the variant and page/4 the offset or length skew.
 func FuzzKernelInterleaving(f *testing.F) {
 	// Seeds: a plain map/touch/unmap lifecycle, a recolor storm, a
-	// churn loop, and a mixed interleaving.
+	// churn loop, a mixed interleaving, and six regions of which four
+	// are unmapped (compacting the index) between stale-region probes.
 	f.Add([]byte{0, 4, 0, 1, 0, 0, 1, 0, 1, 2, 0, 0})
 	f.Add([]byte{3, 1, 0, 4, 2, 0, 13, 3, 0, 5, 1, 0, 15, 2, 0})
 	f.Add([]byte{6, 1, 0, 6, 2, 0, 7, 0, 0, 7, 0, 0})
 	f.Add([]byte{0, 8, 0, 3, 0, 0, 1, 0, 3, 9, 0, 0, 2, 0, 0, 16, 1, 1})
+	f.Add([]byte{
+		0, 1, 0, 0, 2, 0, 10, 0, 0, 10, 3, 0, 0, 1, 0, 10, 2, 0,
+		1, 0, 0, 11, 1, 1, 1, 2, 0, 11, 3, 1,
+		2, 0, 0, 2, 0, 1, 12, 0, 2, 2, 1, 3, 12, 2, 7,
+		12, 1, 0, 2, 0, 0, 2, 0, 0,
+		2, 0, 1, 2, 1, 1, 2, 2, 1, 12, 3, 2, 2, 1, 6, 2, 0, 3, 12, 1, 7,
+		1, 0, 0, 0, 0, 0, 2, 0, 0, 2, 2, 2,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxOps = 96
 		top := topology.Opteron6128()
@@ -64,7 +81,7 @@ func FuzzKernelInterleaving(f *testing.F) {
 			frame phys.Frame
 			order int
 		}
-		var regions []region
+		var regions, retired []region
 		var stash []stashed
 		var stashFrames uint64
 
@@ -96,11 +113,42 @@ func FuzzKernelInterleaving(f *testing.F) {
 					_, _, _ = task.Translate(va) //nolint — rejection is fine, audit judges
 				}
 			case 2: // munmap
-				if len(regions) > 0 {
-					j := arg % len(regions)
-					r := regions[j]
-					if task.Munmap(r.base, uint64(r.pages)*phys.PageSize) == nil {
-						regions = append(regions[:j], regions[j+1:]...)
+				switch page % 4 {
+				case 0: // exact unmap of a live region, which retires it
+					if len(regions) > 0 {
+						j := arg % len(regions)
+						r := regions[j]
+						if task.Munmap(r.base, uint64(r.pages)*phys.PageSize) == nil {
+							regions = append(regions[:j], regions[j+1:]...)
+							retired = append(retired, r)
+						}
+					}
+				case 1: // unmap of a retired region
+					if len(retired) > 0 {
+						r := retired[arg%len(retired)]
+						if err := task.Munmap(r.base, uint64(r.pages)*phys.PageSize); !errors.Is(err, kernel.ErrSegfault) {
+							t.Fatalf("op %d: munmap of retired region %#x = %v, want ErrSegfault", i/3, r.base, err)
+						}
+					}
+				case 2: // touch inside a retired region
+					if len(retired) > 0 {
+						r := retired[arg%len(retired)]
+						va := r.base + uint64(page/4%r.pages)*phys.PageSize
+						if _, _, err := task.Translate(va); !errors.Is(err, kernel.ErrSegfault) {
+							t.Fatalf("op %d: touch of retired %#x = %v, want ErrSegfault", i/3, va, err)
+						}
+					}
+				case 3: // unmap of a live region with the wrong length
+					if len(regions) > 0 {
+						r := regions[arg%len(regions)]
+						wrong := r.pages + 1 - 2*(page/4%2) // one page long or short
+						if err := task.Munmap(r.base, uint64(wrong)*phys.PageSize); err == nil {
+							t.Fatalf("op %d: munmap of region %#x with %d pages instead of %d succeeded",
+								i/3, r.base, wrong, r.pages)
+						}
+						if _, _, err := task.Translate(r.base); errors.Is(err, kernel.ErrSegfault) {
+							t.Fatalf("op %d: region %#x unmapped by a wrong-length munmap: %v", i/3, r.base, err)
+						}
 					}
 				}
 			case 3: // set bank color

@@ -71,6 +71,17 @@ func (p *Process) VisitPages(fn func(vpage uint64, f phys.Frame)) {
 	p.pt.Visit(fn)
 }
 
+// VisitRegions calls fn for every live mapped region of p in
+// ascending start order: its page-aligned range [start, end) and the
+// task whose Mmap created it. Tombstones left by Munmap are skipped.
+func (p *Process) VisitRegions(fn func(start, end uint64, owner *Task)) {
+	for _, r := range p.regions {
+		if r.owner != nil {
+			fn(r.start, r.end, r.owner)
+		}
+	}
+}
+
 // Loans returns the number of outstanding degradation-ladder loans
 // (frames handed out below preferred placement and not yet reclaimed
 // or freed).

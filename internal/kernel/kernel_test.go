@@ -316,6 +316,53 @@ func TestMunmapUncoloredReturnsToBuddy(t *testing.T) {
 	}
 }
 
+// A length whose page rounding or address reservation wraps must fail
+// with ErrBadMmap rather than yield an empty region or one below
+// earlier regions: both binary searches over the region index rely on
+// sorted, unique starts. Afterwards a normal mapping still gets a
+// fresh base above every earlier one. (Nothing is touched past the
+// 2^63-byte mapping: the radix page table's root would span it.)
+func TestMmapRejectsOverflowingLength(t *testing.T) {
+	k := boot(t)
+	task := newTask(t, k, 0)
+	last, err := task.Mmap(0, phys.PageSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func(after string) {
+		t.Helper()
+		va, err := task.Mmap(0, phys.PageSize, 0)
+		if err != nil {
+			t.Fatalf("mmap after %s: %v", after, err)
+		}
+		if va <= last {
+			t.Fatalf("mmap after %s returned base %#x, not above the previous base %#x", after, va, last)
+		}
+		last = va
+	}
+
+	if _, err := task.Mmap(0, ^uint64(0), 0); !errors.Is(err, ErrBadMmap) {
+		t.Fatalf("Mmap of length %#x = %v, want ErrBadMmap", ^uint64(0), err)
+	}
+	fresh("a length whose page rounding wraps")
+
+	if last, err = task.Mmap(0, 1<<63, 0); err != nil {
+		t.Fatalf("first 2^63-byte mapping: %v", err)
+	}
+	if _, err := task.Mmap(0, 1<<63, 0); !errors.Is(err, ErrBadMmap) {
+		t.Fatalf("second 2^63-byte mapping = %v, want ErrBadMmap", err)
+	}
+	fresh("a reservation that wraps the address space")
+
+	var prev uint64
+	task.Process().VisitRegions(func(start, end uint64, _ *Task) {
+		if start < prev || end <= start {
+			t.Errorf("region [%#x, %#x) breaks the sorted, non-empty order after %#x", start, end, prev)
+		}
+		prev = end
+	})
+}
+
 func TestColorExhaustion(t *testing.T) {
 	// One (bank, LLC) combo owns 1/(128*32) of memory: 4 frames of
 	// 16384. Demand more and, with the degradation ladder disabled

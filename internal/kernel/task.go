@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/tintmalloc/tintmalloc/internal/clock"
@@ -40,7 +41,8 @@ type region struct {
 	// owner is the task whose Mmap created the region. First-touch
 	// pages of another task inside it are legal (shared data); the
 	// compaction scan (adaptive.go) uses ownership to bound which
-	// resident pages a task may migrate toward its own colors.
+	// resident pages a task may migrate toward its own colors. A nil
+	// owner marks a tombstone: a region Munmap retired in place.
 	owner *Task
 }
 
@@ -53,12 +55,18 @@ type region struct {
 // map-based table it replaced survives as the reference path behind
 // Config.DisableRadixPT (ptm non-nil), pinned byte-identical by
 // TestRadixPTDifferential. Exactly one of pt/ptm is live.
+//
+// regions is sorted by start, and starts are unique: bump allocation
+// appends in order and never reuses a virtual address. Munmap leaves
+// tombstones (owner nil) that compactRegions later drops; both keep
+// the order findRegion's binary search relies on.
 type Process struct {
 	k       *Kernel
 	id      int
 	pt      *RadixPT              // radix page table (nil when ptm is live)
 	ptm     map[uint64]phys.Frame // reference map page table (DisableRadixPT)
-	regions []region              // sorted by start; bump allocation keeps order
+	regions []region              // sorted by start, tombstones included
+	dead    int                   // tombstones in regions
 	nextVA  uint64
 	tasks   []*Task
 }
@@ -134,15 +142,35 @@ func (p *Process) MappedPages() int {
 	return p.pt.Len()
 }
 
-// regionOf returns the region containing va, if any.
-func (p *Process) regionOf(va uint64) (region, bool) {
+// findRegion returns the index of the entry, live or tombstone, whose
+// range holds va, or -1.
+func (p *Process) findRegion(va uint64) int {
 	i := sort.Search(len(p.regions), func(i int) bool {
 		return p.regions[i].end > va
 	})
 	if i < len(p.regions) && p.regions[i].start <= va {
-		return p.regions[i], true
+		return i
 	}
-	return region{}, false
+	return -1
+}
+
+// mapped reports whether va lies inside a live region.
+func (p *Process) mapped(va uint64) bool {
+	i := p.findRegion(va)
+	return i >= 0 && p.regions[i].owner != nil
+}
+
+// compactRegions drops the tombstones in one in-place pass, keeping
+// the live regions' order and the backing array.
+func (p *Process) compactRegions() {
+	live := p.regions[:0]
+	for _, r := range p.regions {
+		if r.owner != nil {
+			live = append(live, r)
+		}
+	}
+	p.regions = live
+	p.dead = 0
 }
 
 // Task is the simulated task control block: pinned core, coloring
@@ -240,10 +268,19 @@ func (t *Task) Mmap(addr, length uint64, prot uint32) (uint64, error) {
 	if length == 0 {
 		return 0, fmt.Errorf("%w: zero length without ColorAlloc", ErrBadMmap)
 	}
-	pages := (length + phys.PageSize - 1) / phys.PageSize
+	// Reject a length whose page rounding or reservation would wrap:
+	// the region would be empty or land below earlier ones, breaking
+	// the sorted, unique starts the region index searches.
+	if length > math.MaxUint64-(phys.PageSize-1) {
+		return 0, fmt.Errorf("%w: length %#x overflows page rounding", ErrBadMmap, length)
+	}
+	size := (length + phys.PageSize - 1) &^ (phys.PageSize - 1)
 	base := t.proc.nextVA
-	t.proc.nextVA += pages * phys.PageSize
-	t.proc.regions = append(t.proc.regions, region{base, base + pages*phys.PageSize, t})
+	if size > math.MaxUint64-base {
+		return 0, fmt.Errorf("%w: length %#x overflows the address space at %#x", ErrBadMmap, length, base)
+	}
+	t.proc.nextVA += size
+	t.proc.regions = append(t.proc.regions, region{base, base + size, t})
 	return base, nil
 }
 
@@ -301,21 +338,22 @@ func (t *Task) setColor(arg uint64) error {
 // Munmap releases the exact region previously returned by Mmap,
 // returning its resident frames to the kernel (colored frames rejoin
 // their color lists, uncolored frames the buddy allocator).
+//
+// The region is found by binary search and retired in place as a
+// tombstone; once more than half the entries are tombstones, one
+// compaction pass drops them all, so removal is amortized O(1).
 func (t *Task) Munmap(va, length uint64) error {
 	p := t.proc
 	pages := (length + phys.PageSize - 1) / phys.PageSize
 	end := va + pages*phys.PageSize
-	idx := -1
-	for i, r := range p.regions {
-		if r.start == va && r.end == end {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	i := p.findRegion(va)
+	if i < 0 || p.regions[i].start != va || p.regions[i].end != end || p.regions[i].owner == nil {
 		return fmt.Errorf("%w: munmap of unmapped region [%#x, %#x)", ErrSegfault, va, end)
 	}
-	p.regions = append(p.regions[:idx], p.regions[idx+1:]...)
+	p.regions[i].owner = nil
+	if p.dead++; 2*p.dead > len(p.regions) {
+		p.compactRegions()
+	}
 	for vp := va >> phys.PageShift; vp < end>>phys.PageShift; vp++ {
 		if f, ok := p.ptLookup(vp); ok {
 			p.ptDelete(vp)
@@ -345,7 +383,7 @@ func (t *Task) Translate(va uint64) (phys.Addr, clock.Dur, error) {
 		}
 		p.k.stats.TLBMisses++
 	}
-	if _, ok := p.regionOf(va); !ok {
+	if !p.mapped(va) {
 		return 0, 0, fmt.Errorf("%w: address %#x", ErrSegfault, va)
 	}
 	if f, ok := p.ptLookup(vp); ok {
