@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-baseline bench-gate alloc-gate serve-smoke netserve-smoke serve-bench offload-bench microbench profile golden figures report sweep chaos-smoke adaptive-smoke fuzz lint vet-fixtures clean
+.PHONY: all build test test-short race bench bench-baseline bench-gate alloc-gate serve-smoke netserve-smoke serve-bench microbench profile golden figures report sweep chaos-smoke adaptive-smoke fuzz lint vet-fixtures clean
 
 all: build lint test
 
@@ -95,12 +95,6 @@ netserve-smoke:
 # the baseline.
 serve-bench:
 	$(GO) run ./cmd/tintbench -exp serve -serve-ops 20000 -serve-out BENCH_serve.json
-
-# Serve sweep twice — inline, then through the per-node allocation
-# cores fed by SPSC rings (serve.Offload) — into one report with the
-# inline-vs-offloaded speedup (see EXPERIMENTS.md "offload").
-offload-bench:
-	$(GO) run ./cmd/tintbench -exp offload -serve-ops 20000 -serve-out BENCH_serve.json
 
 microbench:
 	$(GO) test -bench=. -benchmem -benchtime=1x . ./internal/phys ./internal/cache ./internal/mem ./internal/kernel

@@ -31,6 +31,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -44,7 +45,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: latency|fig10|fig11|fig12|fig13|fig14|detail|sweep|chaos|adaptive|bench|serve|offload|all")
+		exp        = flag.String("exp", "all", "experiment: "+strings.Join(experiments, "|"))
 		scale      = flag.Float64("scale", 1.0, "working-set scale factor (1.0 = paper-size)")
 		repeats    = flag.Int("repeats", 3, "repetitions per cell (paper used 10)")
 		seed       = flag.Int64("seed", 1, "base random seed")
@@ -65,9 +66,8 @@ func main() {
 		benchSamp  = flag.Int("bench-samples", 3, "wall-clock re-timings per cell for -exp bench/serve (raw samples land in the report)")
 		suitesFile = flag.String("suites", "", "suite registry file (TOML or JSON), merged over the embedded defaults")
 		suiteName  = flag.String("suite", "", "run a registry suite by name instead of -exp (\"list\" shows the registry)")
-		serveOut   = flag.String("serve-out", "BENCH_serve.json", "output file for -exp serve/offload")
-		serveOps   = flag.Int("serve-ops", 20000, "churn operations per client for -exp serve/offload")
-		ringDepth  = flag.Int("ring-depth", 64, "SPSC ring capacity per client for -exp offload (power of two)")
+		serveOut   = flag.String("serve-out", "BENCH_serve.json", "output file for -exp serve")
+		serveOps   = flag.Int("serve-ops", 20000, "churn operations per client for -exp serve")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
@@ -100,16 +100,14 @@ func main() {
 	memBytes := uint64(*memGiB * (1 << 30))
 	params := workload.Params{Seed: *seed, Scale: *scale}
 
-	switch *format {
-	case "table", "csv", "chart", "json":
-	default:
-		fatal(fmt.Errorf("unknown format %q", *format))
+	if err := checkFlags(*exp, *format); err != nil {
+		fatal(err)
 	}
 	csvOut := *format == "csv"
 	chartOut := *format == "chart"
 	jsonOut := *format == "json"
 
-	if *suiteName != "" && (*exp == "bench" || *exp == "serve" || *exp == "offload") {
+	if *suiteName != "" && (*exp == "bench" || *exp == "serve") {
 		fatal(fmt.Errorf("-suite does not combine with -exp %s", *exp))
 	}
 
@@ -120,16 +118,11 @@ func main() {
 		return
 	}
 
-	// The serve and offload experiments measure real goroutine
-	// concurrency, so they are wall-clock dependent and — like -exp
-	// bench — excluded from -exp all, whose outputs are byte-identical
-	// at any -parallel. -exp offload is the serve sweep plus the same
-	// scenarios through the allocation-core front-end (SPSC rings to
-	// one dedicated allocator goroutine per node).
-	if *exp == "serve" || *exp == "offload" {
-		ocfg := serve.OffloadConfig{RingDepth: *ringDepth}
-		if err := runServeHarness(os.Stdout, *serveOut, memBytes, *serveOps, *benchSamp,
-			serve.Config{}, *exp == "offload", ocfg); err != nil {
+	// The serve experiment measures real goroutine concurrency, so it
+	// is wall-clock dependent and — like -exp bench — excluded from
+	// -exp all, whose outputs are byte-identical at any -parallel.
+	if *exp == "serve" {
+		if err := runServeHarness(os.Stdout, *serveOut, memBytes, *serveOps, *benchSamp, serve.Config{}); err != nil {
 			fatal(err)
 		}
 		return
@@ -434,6 +427,25 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// experiments lists every -exp value main runs.
+var experiments = []string{
+	"latency", "fig10", "fig11", "fig12", "fig13", "fig14", "detail",
+	"sweep", "chaos", "adaptive", "bench", "serve", "all",
+}
+
+// checkFlags rejects an -exp or -format value main does not know,
+// before any experiment starts.
+func checkFlags(exp, format string) error {
+	if !slices.Contains(experiments, exp) {
+		return fmt.Errorf("unknown experiment %q (want %s)", exp, strings.Join(experiments, "|"))
+	}
+	switch format {
+	case "table", "csv", "chart", "json":
+		return nil
+	}
+	return fmt.Errorf("unknown format %q", format)
 }
 
 func parseFloats(csv string) ([]float64, error) {

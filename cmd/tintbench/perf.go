@@ -174,15 +174,15 @@ func mean(v []float64) float64 {
 // times and folds the raw measurements into a format-2 record. The
 // deterministic counters must agree across samples — a drift is a
 // determinism bug, not noise, and fails the harness.
-func timeExperiment(e perfExperiment, workers, samples int) (benchfmt.Record, error) {
+func timeExperiment(e perfExperiment, workers, samples int, meter mallocMeter) (benchfmt.Record, error) {
 	rec := benchfmt.Record{Experiment: e.name, Parallel: workers}
 	var allocSamples []float64
 	for s := 0; s < samples; s++ {
-		m0 := mallocCount()
+		m0 := meter.count()
 		start := time.Now()
 		cells, ops, err := e.run(workers)
 		wall := time.Since(start).Seconds()
-		m1 := mallocCount()
+		m1 := meter.count()
 		if err != nil {
 			return rec, fmt.Errorf("%s (parallel %d): %w", e.name, workers, err)
 		}
@@ -195,7 +195,7 @@ func timeExperiment(e perfExperiment, workers, samples int) (benchfmt.Record, er
 		rec.WallSecondsSamples = append(rec.WallSecondsSamples, wall)
 		rec.CellsPerSecSamples = append(rec.CellsPerSecSamples, float64(cells)/wall)
 		rec.OpsPerSecSamples = append(rec.OpsPerSecSamples, float64(ops)/wall)
-		allocSamples = append(allocSamples, float64(m1-m0)/float64(allocDenom(ops, cells)))
+		allocSamples = append(allocSamples, (m1-m0)/float64(allocDenom(ops, cells)))
 	}
 	rec.WallSeconds = mean(rec.WallSecondsSamples)
 	rec.CellsPerSec = mean(rec.CellsPerSecSamples)
@@ -233,6 +233,7 @@ func runBenchHarness(w io.Writer, outPath, parCSV string, memBytes uint64,
 	if err != nil {
 		return err
 	}
+	meter := newMallocMeter()
 
 	rep := &benchfmt.Report{
 		Format:   benchfmt.FormatVersion,
@@ -251,7 +252,7 @@ func runBenchHarness(w io.Writer, outPath, parCSV string, memBytes uint64,
 		var totalAllocs float64
 		totalWall := make([]float64, samples)
 		for _, e := range exps {
-			rec, err := timeExperiment(e, workers, samples)
+			rec, err := timeExperiment(e, workers, samples, meter)
 			if err != nil {
 				return err
 			}

@@ -20,25 +20,44 @@ import (
 // internal packages never read the wall clock), and writes a
 // format-2 benchfmt report with raw samples, mirroring the
 // BENCH_engine.json harness.
-//
-// `tintbench -exp offload` additionally re-runs the same sweep
-// through the allocation-core front-end (serve.Offload): one
-// dedicated goroutine per node executes all allocator calls, fed by
-// per-client SPSC rings. Both sides land in the same report so the
-// inline-vs-offloaded comparison is self-contained.
 
-// mallocCount reads the host's cumulative heap allocation count;
-// sample deltas divided by completed ops give allocs_per_op.
-func mallocCount() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
+// mallocMeter counts the host's heap allocations for allocs_per_op:
+// sample deltas of count divided by completed ops. Whole-process
+// Mallocs also counts what the runtime allocates for itself after
+// each GC cycle (with net/netip linked, cleaning up the unique
+// package's maps costs about two objects per cycle), so a sample's
+// count varies with how many cycles happen to fall inside it. count
+// subtracts those, at a per-cycle rate measured once over idle
+// forced cycles.
+type mallocMeter struct {
+	perGC float64
 }
 
-// serveSweep times every spec through `run`, printing one table row
-// per scenario and returning the format-2 records.
+func newMallocMeter() mallocMeter {
+	const cycles = 64
+	runtime.GC()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < cycles; i++ {
+		runtime.GC()
+	}
+	runtime.ReadMemStats(&ms1)
+	return mallocMeter{perGC: float64(ms1.Mallocs-ms0.Mallocs) / float64(ms1.NumGC-ms0.NumGC)}
+}
+
+// count reads the cumulative heap allocation count, less perGC per
+// completed GC cycle.
+func (m mallocMeter) count() float64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.Mallocs) - m.perGC*float64(ms.NumGC)
+}
+
+// serveSweep times every spec, printing one table row per scenario
+// and returning the format-2 records.
 func serveSweep(w io.Writer, specs []bench.ServeSpec, samples int,
-	run func(bench.ServeSpec) (*bench.ServeCellResult, error)) ([]benchfmt.ServeRecord, error) {
+	memBytes uint64, cfg serve.Config) ([]benchfmt.ServeRecord, error) {
+	meter := newMallocMeter()
 	var recs []benchfmt.ServeRecord
 	for _, spec := range specs {
 		rec := benchfmt.ServeRecord{
@@ -48,11 +67,11 @@ func serveSweep(w io.Writer, specs []bench.ServeSpec, samples int,
 		}
 		var allocSamples []float64
 		for s := 0; s < samples; s++ {
-			m0 := mallocCount()
+			m0 := meter.count()
 			start := time.Now()
-			cell, err := run(spec)
+			cell, err := bench.RunServeCell(spec, memBytes, cfg)
 			wall := time.Since(start).Seconds()
-			m1 := mallocCount()
+			m1 := meter.count()
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", spec.Name, err)
 			}
@@ -68,7 +87,7 @@ func serveSweep(w io.Writer, specs []bench.ServeSpec, samples int,
 			rec.Degraded = cell.Stats.DegradedAllocs()
 			rec.WallSecondsSamples = append(rec.WallSecondsSamples, wall)
 			rec.OpsPerSecSamples = append(rec.OpsPerSecSamples, float64(cell.Ops)/wall)
-			allocSamples = append(allocSamples, float64(m1-m0)/float64(cell.Ops))
+			allocSamples = append(allocSamples, (m1-m0)/float64(cell.Ops))
 		}
 		rec.WallSeconds = mean(rec.WallSecondsSamples)
 		rec.OpsPerSec = mean(rec.OpsPerSecSamples)
@@ -156,7 +175,7 @@ func churnSweep(w io.Writer, specs []bench.ChurnSpec, samples int,
 }
 
 func runServeHarness(w io.Writer, outPath string, memBytes uint64, opsPerClient, samples int,
-	cfg serve.Config, offload bool, ocfg serve.OffloadConfig) error {
+	cfg serve.Config) error {
 	if samples < 1 {
 		return fmt.Errorf("-bench-samples: must be >= 1, have %d", samples)
 	}
@@ -174,9 +193,7 @@ func runServeHarness(w io.Writer, outPath string, memBytes uint64, opsPerClient,
 			"scenario", "nodes", "clients", "ops", "wall (s)", "ops/sec", "retries", "refills", "degraded", "allocs/op")
 	}
 	header()
-	recs, err := serveSweep(w, specs, samples, func(spec bench.ServeSpec) (*bench.ServeCellResult, error) {
-		return bench.RunServeCell(spec, memBytes, cfg)
-	})
+	recs, err := serveSweep(w, specs, samples, memBytes, cfg)
 	if err != nil {
 		return err
 	}
@@ -190,25 +207,6 @@ func runServeHarness(w io.Writer, outPath string, memBytes uint64, opsPerClient,
 	}
 	if rep.HostCPUs == 1 {
 		fmt.Fprintf(w, "note: single-core host — shards cannot run concurrently here; ~1x scaling expected\n")
-	}
-
-	if offload {
-		fmt.Fprintf(w, "\noffloaded allocation cores (ring depth %d): same sweep, allocator calls\n", ocfg.RingDepth)
-		fmt.Fprintf(w, "executed by one dedicated goroutine per node, fed over SPSC rings\n")
-		header()
-		offRecs, err := serveSweep(w, specs, samples, func(spec bench.ServeSpec) (*bench.ServeCellResult, error) {
-			return bench.RunOffloadServeCell(spec, memBytes, cfg, ocfg)
-		})
-		if err != nil {
-			return err
-		}
-		rep.OffloadRecords = offRecs
-		offFour := benchfmt.FindServeRecord(rep.OffloadRecords, "4_nodes_16_clients")
-		if four != nil && offFour != nil && four.OpsPerSec > 0 {
-			rep.OffloadSpeedup = offFour.OpsPerSec / four.OpsPerSec
-			fmt.Fprintf(w, "\noffload vs inline: 4_nodes_16_clients ops/sec %.0f -> %.0f (%.2fx)\n",
-				four.OpsPerSec, offFour.OpsPerSec, rep.OffloadSpeedup)
-		}
 	}
 
 	// The wire path: same churn, real sockets. Connection-count

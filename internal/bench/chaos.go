@@ -155,7 +155,7 @@ func RunChaos(mach *Machine, cfg Config, pol string, loads []workload.Workload,
 	}
 	out := &ChaosResult{Config: cfg, Policy: pol, Plans: plans}
 	perWl := len(plans) + 1
-	rows, err := gather(len(loads)*perWl, workers, func(i int) (ChaosRow, error) {
+	rows, err := Gather(len(loads)*perWl, workers, func(i int) (ChaosRow, error) {
 		wl := loads[i/perWl]
 		var plan *fault.Plan
 		if pi := i % perWl; pi > 0 {

@@ -28,7 +28,7 @@ type Fig10Result struct {
 // `workers` cells concurrently (results are identical at any value).
 func RunFig10(mach *Machine, cfg Config, params workload.Params, repeats, workers int) (*Fig10Result, error) {
 	res := &Fig10Result{Config: cfg, Policies: Fig10Policies()}
-	cells, err := gather(len(res.Policies), workers, func(i int) (Cell, error) {
+	cells, err := Gather(len(res.Policies), workers, func(i int) (Cell, error) {
 		return RunRepeated(mach, RunSpec{Workload: workload.Synthetic(), Config: cfg,
 			Policy: res.Policies[i], Params: params}, repeats)
 	})
@@ -125,7 +125,7 @@ func RunSuiteParallel(mach *Machine, loads []workload.Workload, cfgs []Config,
 		}
 	}
 
-	cells, err := gather(len(jobs), workers, func(i int) (Cell, error) {
+	cells, err := Gather(len(jobs), workers, func(i int) (Cell, error) {
 		c, err := RunRepeated(mach, jobs[i].spec, repeats)
 		if err != nil {
 			return c, fmt.Errorf("bench: cell %s/%s/%s: %w",
@@ -216,7 +216,7 @@ type PerThreadResult struct {
 func RunPerThread(mach *Machine, wl workload.Workload, cfg Config,
 	policies []policy.Policy, params workload.Params, workers int) (*PerThreadResult, error) {
 	out := &PerThreadResult{Workload: wl.Name, Config: cfg, Policies: policies}
-	ms, err := gather(len(policies), workers, func(i int) (RunMetrics, error) {
+	ms, err := Gather(len(policies), workers, func(i int) (RunMetrics, error) {
 		return Run(mach, RunSpec{Workload: wl, Config: cfg, Policy: policies[i], Params: params})
 	})
 	if err != nil {
@@ -311,7 +311,7 @@ func RunDetail(mach *Machine, wl workload.Workload, cfg Config,
 	params workload.Params, repeats, workers int) (*DetailResult, error) {
 	out := &DetailResult{Workload: wl.Name, Config: cfg}
 	pols := policy.All()
-	cells, err := gather(len(pols), workers, func(i int) (Cell, error) {
+	cells, err := Gather(len(pols), workers, func(i int) (Cell, error) {
 		return RunRepeated(mach, RunSpec{Workload: wl, Config: cfg, Policy: pols[i], Params: params}, repeats)
 	})
 	if err != nil {

@@ -2,10 +2,12 @@ package bench
 
 import "sync"
 
-// gather is the deterministic scatter/gather runner behind every
-// experiment's cell parallelism. It evaluates job(0) .. job(n-1) on
-// up to `workers` goroutines and returns the results in index order,
-// with the lowest-index error (if any) winning.
+// Gather is the deterministic scatter/gather runner behind every
+// experiment's cell parallelism, here and in packages that layer
+// their own experiment matrices over this one (the suite registry's
+// runner). It evaluates job(0) .. job(n-1) on up to `workers`
+// goroutines and returns the results in index order, with the
+// lowest-index error (if any) winning.
 //
 // The determinism contract (DESIGN.md Sec. 8): every job must be a
 // pure function of its index — it derives its seeds from the index
@@ -15,13 +17,6 @@ import "sync"
 // that contract the scatter order is irrelevant and the gather order
 // is fixed by index, so any workers value — including 1 — produces
 // byte-identical results; parallelism only spends more host cores.
-func gather[T any](n, workers int, job func(int) (T, error)) ([]T, error) {
-	return Gather(n, workers, job)
-}
-
-// Gather is the exported form of the runner, for packages that layer
-// their own experiment matrices over this one (the suite registry's
-// runner). Callers inherit the same contract.
 func Gather[T any](n, workers int, job func(int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)

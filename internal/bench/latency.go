@@ -35,7 +35,7 @@ func RunLatency(mach *Machine, core topology.CoreID, linesPerNode, workers int) 
 		linesPerNode = 512
 	}
 	out := &LatencyResult{Core: core}
-	rows, err := gather(mach.Topo.Nodes(), workers, func(n int) (LatencyRow, error) {
+	rows, err := Gather(mach.Topo.Nodes(), workers, func(n int) (LatencyRow, error) {
 		// Fresh memory system per node so caches are cold and no
 		// cross-node state leaks.
 		ms, err := mem.New(mach.Topo, mach.Mapping, mach.MemCfg)

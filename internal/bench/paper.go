@@ -112,7 +112,7 @@ func RunPaperValidation(mach *Machine, params workload.Params, repeats, workers 
 		{Workload: lbm, Config: cfg4, Policy: policy.Buddy, Params: params},
 		{Workload: lbm, Config: cfg4, Policy: policy.MEMLLC, Params: params},
 	}
-	lbmCells, err := gather(len(lbmSpecs), workers, func(i int) (RunMetrics, error) {
+	lbmCells, err := Gather(len(lbmSpecs), workers, func(i int) (RunMetrics, error) {
 		return Run(mach, lbmSpecs[i])
 	})
 	if err != nil {
@@ -169,7 +169,7 @@ func RunPaperValidation(mach *Machine, params workload.Params, repeats, workers 
 		{Workload: workload.Blackscholes(), Config: cfg16, Policy: policy.Buddy, Params: params},
 		{Workload: workload.Blackscholes(), Config: cfg16, Policy: policy.MEMLLC, Params: params},
 	}
-	bsCells, err := gather(len(bsSpecs), workers, func(i int) (RunMetrics, error) {
+	bsCells, err := Gather(len(bsSpecs), workers, func(i int) (RunMetrics, error) {
 		return Run(mach, bsSpecs[i])
 	})
 	if err != nil {

@@ -132,11 +132,11 @@ func TestParallelExperimentsMatchSequential(t *testing.T) {
 	}
 }
 
-// gather itself: order, error selection, and the degenerate worker
+// Gather itself: order, error selection, and the degenerate worker
 // counts the experiments rely on.
 func TestGather(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, 100} {
-		got, err := gather(10, workers, func(i int) (int, error) { return i * i, nil })
+		got, err := Gather(10, workers, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,18 +147,18 @@ func TestGather(t *testing.T) {
 		}
 	}
 	// Lowest-index error wins regardless of completion order.
-	_, err := gather(10, 4, func(i int) (int, error) {
+	_, err := Gather(10, 4, func(i int) (int, error) {
 		if i == 7 || i == 3 {
 			return 0, errIndexed(i)
 		}
 		return i, nil
 	})
 	if err == nil || err.Error() != "job 3 failed" {
-		t.Fatalf("gather error = %v, want job 3", err)
+		t.Fatalf("Gather error = %v, want job 3", err)
 	}
 	// n == 0 is a no-op.
-	if out, err := gather(0, 4, func(i int) (int, error) { return 0, errIndexed(i) }); err != nil || len(out) != 0 {
-		t.Fatalf("gather(0) = %v, %v", out, err)
+	if out, err := Gather(0, 4, func(i int) (int, error) { return 0, errIndexed(i) }); err != nil || len(out) != 0 {
+		t.Fatalf("Gather(0) = %v, %v", out, err)
 	}
 }
 

@@ -49,8 +49,8 @@ type ServeCellResult struct {
 }
 
 // churnAllocator is the client surface the churn driver needs; both
-// the inline serve.Client and the offloaded serve.OffloadClient
-// satisfy it, so inline and offloaded cells run the identical
+// the in-process serve.Client and the socket-backed wire.Client
+// satisfy it, so serve and wire-path cells run the identical
 // workload.
 type churnAllocator interface {
 	Alloc() (phys.Frame, error)
@@ -117,20 +117,6 @@ func serveChurn(c churnAllocator, ops int, seed int64) (completed, retries uint6
 // serving diagnostics (batches, retries) are not — they describe the
 // actual interleaving.
 func RunServeCell(spec ServeSpec, memBytes uint64, cfg serve.Config) (*ServeCellResult, error) {
-	return runServeCell(spec, memBytes, cfg, nil)
-}
-
-// RunOffloadServeCell runs the same cell through the allocation-core
-// front-end (serve.Offload): clients ship requests to one dedicated
-// core per node over SPSC rings instead of running the allocator
-// inline. Everything else — platform, plan, churn sequence, audit —
-// is identical, so a cell's inline and offloaded results are directly
-// comparable.
-func RunOffloadServeCell(spec ServeSpec, memBytes uint64, cfg serve.Config, ocfg serve.OffloadConfig) (*ServeCellResult, error) {
-	return runServeCell(spec, memBytes, cfg, &ocfg)
-}
-
-func runServeCell(spec ServeSpec, memBytes uint64, cfg serve.Config, ocfg *serve.OffloadConfig) (*ServeCellResult, error) {
 	if spec.Nodes < 1 || spec.Clients < 1 || spec.Ops < 1 {
 		return nil, fmt.Errorf("serve: bad spec %+v", spec)
 	}
@@ -160,27 +146,8 @@ func runServeCell(spec ServeSpec, memBytes uint64, cfg serve.Config, ocfg *serve
 	if err != nil {
 		return nil, err
 	}
-	var off *serve.Offload
-	if ocfg != nil {
-		off, err = serve.NewOffload(s, *ocfg)
-		if err != nil {
-			return nil, err
-		}
-		defer off.Close()
-	}
-	clients := make([]churnAllocator, spec.Clients)
+	clients := make([]*serve.Client, spec.Clients)
 	for i, core := range cores {
-		if off != nil {
-			c, err := off.NewClient(core)
-			if err != nil {
-				return nil, err
-			}
-			if err := c.SetColors(asn[i].BankColors, asn[i].LLCColors); err != nil {
-				return nil, err
-			}
-			clients[i] = c
-			continue
-		}
 		c, err := s.NewClient(core)
 		if err != nil {
 			return nil, err
@@ -197,17 +164,12 @@ func runServeCell(spec ServeSpec, memBytes uint64, cfg serve.Config, ocfg *serve
 	errs := make([]error, spec.Clients)
 	for i, c := range clients {
 		wg.Add(1)
-		go func(i int, c churnAllocator) {
+		go func(i int, c *serve.Client) {
 			defer wg.Done()
 			completed[i], retries[i], errs[i] = serveChurn(c, spec.Ops, int64(i)+1)
 		}(i, c)
 	}
 	wg.Wait()
-	if off != nil {
-		// Stop the allocation cores before auditing; the clients are
-		// quiesced, so nothing is abandoned in flight.
-		off.Close()
-	}
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("serve: client %d: %w", i, err)

@@ -27,10 +27,10 @@ func waitGoroutines(t *testing.T, baseline int, what string) {
 }
 
 // TestRunServeCellErrorPathsReleaseGoroutines is the regression for
-// the error-path shutdown bug: a cell that fails after the server (or
-// the offload front-end) has started its workers must still tear them
-// all down on the way out. Every failure injected here happens after
-// serve.New has spawned the per-shard refill workers.
+// the error-path shutdown bug: a cell that fails after the server has
+// started its workers must still tear them all down on the way out.
+// Every failure injected here happens after serve.New has spawned the
+// per-shard refill workers.
 func TestRunServeCellErrorPathsReleaseGoroutines(t *testing.T) {
 	const mem = 64 << 20
 	baseline := runtime.NumGoroutine()
@@ -43,14 +43,6 @@ func TestRunServeCellErrorPathsReleaseGoroutines(t *testing.T) {
 	}
 	waitGoroutines(t, baseline, "plan failure")
 
-	// Offload boot failure: a non-power-of-two ring depth is rejected
-	// by serve.NewOffload after the base server is already running.
-	spec = ServeSpec{Name: "badring", Nodes: 1, Clients: 2, Ops: 10}
-	if _, err := RunOffloadServeCell(spec, mem, serve.Config{}, serve.OffloadConfig{RingDepth: 3}); err == nil {
-		t.Fatal("non-power-of-two ring depth accepted")
-	}
-	waitGoroutines(t, baseline, "offload boot failure")
-
 	// Bad spec before any boot: trivially clean, pinned anyway so the
 	// early-return path stays allocation-free.
 	if _, err := RunServeCell(ServeSpec{Name: "empty"}, mem, serve.Config{}); err == nil {
@@ -59,11 +51,10 @@ func TestRunServeCellErrorPathsReleaseGoroutines(t *testing.T) {
 	waitGoroutines(t, baseline, "spec rejection")
 
 	// A successful run for contrast: everything it spawned must be
-	// gone once it returns, including the offload cores it stops
-	// explicitly before the audit (and again via defer).
+	// gone once it returns.
 	spec = ServeSpec{Name: "ok", Nodes: 2, Clients: 4, Ops: 500}
-	if _, err := RunOffloadServeCell(spec, mem, serve.Config{}, serve.OffloadConfig{}); err != nil {
+	if _, err := RunServeCell(spec, mem, serve.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	waitGoroutines(t, baseline, "clean offload run")
+	waitGoroutines(t, baseline, "clean run")
 }

@@ -89,7 +89,7 @@ func RunSweep(param SweepParam, values []float64, wl workload.Workload, cfgName 
 		machines[i] = mach
 	}
 	pols := []policy.Policy{policy.Buddy, policy.MEMLLC}
-	cells, err := gather(len(values)*len(pols), workers, func(i int) (Cell, error) {
+	cells, err := Gather(len(values)*len(pols), workers, func(i int) (Cell, error) {
 		pt, p := i/len(pols), pols[i%len(pols)]
 		return RunRepeated(machines[pt], RunSpec{Workload: wl, Config: out.Config, Policy: p, Params: params}, repeats)
 	})

@@ -133,15 +133,6 @@ type ServeReport struct {
 	// the same cell of Baseline (0 when no baseline). Only comparable
 	// on the same host; see HostCPUs.
 	SpeedupVsBaseline float64 `json:"speedup_vs_baseline,omitempty"`
-	// OffloadRecords holds the same scenarios served through the
-	// allocation-core front-end (`tintbench -exp offload`): clients
-	// ship requests to one dedicated core per node over SPSC rings
-	// instead of running the allocator inline. Normalized series key
-	// them as "offload/<scenario>".
-	OffloadRecords []ServeRecord `json:"offload_records,omitempty"`
-	// OffloadSpeedup is offloaded over inline ops/sec at the 4-node
-	// 16-client cell (<1 means offloading lost on this host).
-	OffloadSpeedup float64 `json:"offload_speedup,omitempty"`
 	// NetRecords holds the connection-count scaling sweep driven over
 	// the wire protocol against a tintserved-shaped daemon (`tintbench
 	// -exp serve` with -net). The Clients field carries the connection
@@ -303,16 +294,12 @@ func engineSeries(r *Record) Series {
 	return s
 }
 
-// ServeSeries normalizes a serve report. Offload records appear under
-// "offload/<scenario>" keys so inline and offloaded runs of the same
-// scenario stay distinct series.
+// ServeSeries normalizes a serve report: in-process records keyed by
+// scenario, wire and task-churn records under "net/" and "churn/".
 func ServeSeries(rep *ServeReport) []Series {
 	var out []Series
 	for i := range rep.Records {
 		out = append(out, serveSeries(&rep.Records[i], ""))
-	}
-	for i := range rep.OffloadRecords {
-		out = append(out, serveSeries(&rep.OffloadRecords[i], "offload/"))
 	}
 	for i := range rep.NetRecords {
 		out = append(out, serveSeries(&rep.NetRecords[i], "net/"))

@@ -100,9 +100,11 @@ func TestDecodeV1Serve(t *testing.T) {
 	}
 }
 
-// A format-2 serve report carrying every record family: inline,
-// offloaded, wire (net) and task-churn. Each must land under its own
-// series-key prefix so tintstat never cross-compares them.
+// A format-2 serve report carrying every record family: in-process,
+// wire (net) and task-churn. Each must land under its own series-key
+// prefix so tintstat never cross-compares them. The offload_records
+// block is what reports written before the offload experiment was
+// removed carry: they must still decode, with the block ignored.
 const v2ServeFull = `{
   "format": 2,
   "host_cpus": 2,
@@ -140,7 +142,6 @@ func TestDecodeServeNetAndChurn(t *testing.T) {
 	}
 	want := []Series{
 		{Key: "4_nodes_16_clients", Unit: "ops/sec", Samples: []float64{41000, 39000}, Ops: 32000},
-		{Key: "offload/4_nodes_16_clients", Unit: "ops/sec", Samples: []float64{32000}, Ops: 32000},
 		{Key: "net/8_conns", Unit: "ops/sec", Samples: []float64{8100, 7900}, Ops: 16000},
 		{Key: "churn/rr_8_tasks", Unit: "ops/sec", Samples: []float64{18500, 17500}, Ops: 9000},
 	}

@@ -454,9 +454,8 @@ func (e *Engine) runPhase(ph Phase, res *Result, barrier bool) (PhaseResult, err
 	// thread (ties by id). The indexed min-heap makes each step
 	// O(log n); because (time, id) is a strict total order it selects
 	// exactly the thread the former linear scan did.
-	q := newEventQueue(append([]*runnerState(nil), live...))
-	var runErr error
-	for q.Len() > 0 && runErr == nil {
+	q, runErr := newEventQueue(append([]*runnerState(nil), live...))
+	for runErr == nil && q.Len() > 0 {
 		r := q.Min()
 		if r.ops++; r.ops > e.opBudget {
 			runErr = fmt.Errorf("thread %d exceeded the per-thread op budget of %d (runaway thread body?)",
@@ -494,7 +493,11 @@ func (e *Engine) runPhase(ph Phase, res *Result, barrier bool) (PhaseResult, err
 				})
 			}
 		}
-		q.FixMin()
+		if err := q.FixMin(); err != nil {
+			runErr = err
+			pr.ThreadEnd[r.id] = r.time
+			break
+		}
 	}
 
 	end := start

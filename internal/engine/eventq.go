@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/bits"
 
 	"github.com/tintmalloc/tintmalloc/internal/clock"
@@ -20,29 +21,21 @@ import (
 //
 // Keys are packed: time<<idBits | id in one uint64 per slot, so a
 // sift comparison is a single integer compare on one contiguous
-// array. idBits is sized to the phase's largest thread id, which
-// leaves 64-idBits bits of virtual time headroom — with even 1024
-// threads that is 2^54 cycles, far past any simulation. If a time
-// ever would overflow its field (or an initial key cannot be packed),
-// the queue falls back permanently to unpacked (time, id) pairs with
-// the identical lexicographic order; the packed compare equals the
-// unpacked one whenever both fields fit, so the fallback never
-// changes the schedule.
+// array, and it orders exactly as the (time, id) pair does. idBits is
+// sized to the phase's largest thread id, which leaves 64-idBits bits
+// of virtual time headroom — with even 1024 threads that is 2^54
+// cycles, far past any simulation. A time at or past that limit
+// cannot be packed, so the queue returns an error naming the thread.
 type eventQueue struct {
-	rs []*runnerState
-
-	packed bool
+	rs     []*runnerState
 	idBits uint
-	limit  clock.Time // first unrepresentable time, packed mode only
+	limit  clock.Time // first unrepresentable time
 	keys   []uint64   // keys[i] = time<<idBits | id
-
-	// Unpacked fallback, mirroring rs[i].time / rs[i].id.
-	times []clock.Time
-	ids   []int32
 }
 
-// newEventQueue heapifies the given runners in place.
-func newEventQueue(rs []*runnerState) *eventQueue {
+// newEventQueue heapifies the given runners in place. It fails if a
+// runner's time does not fit the packed key.
+func newEventQueue(rs []*runnerState) (*eventQueue, error) {
 	q := &eventQueue{rs: rs}
 	maxID := 0
 	for _, r := range rs {
@@ -55,41 +48,25 @@ func newEventQueue(rs []*runnerState) *eventQueue {
 		q.idBits = 1
 	}
 	q.limit = clock.Time(1) << (64 - q.idBits)
-	q.packed = true
-	for _, r := range rs {
+	q.keys = make([]uint64, len(rs))
+	for i, r := range rs {
 		if r.time >= q.limit {
-			q.packed = false
-			break
+			return nil, q.overflow(r)
 		}
-	}
-	if q.packed {
-		q.keys = make([]uint64, len(rs))
-		for i, r := range rs {
-			q.keys[i] = q.pack(r)
-		}
-	} else {
-		q.unpackFrom(rs)
+		q.keys[i] = q.pack(r)
 	}
 	for i := len(rs)/2 - 1; i >= 0; i-- {
 		q.siftDown(i)
 	}
-	return q
+	return q, nil
 }
 
 func (q *eventQueue) pack(r *runnerState) uint64 {
 	return uint64(r.time)<<q.idBits | uint64(r.id)
 }
 
-// unpackFrom switches to (and fills) the unpacked representation.
-func (q *eventQueue) unpackFrom(rs []*runnerState) {
-	q.packed = false
-	q.keys = nil
-	q.times = make([]clock.Time, len(rs))
-	q.ids = make([]int32, len(rs))
-	for i, r := range rs {
-		q.times[i] = r.time
-		q.ids[i] = int32(r.id)
-	}
+func (q *eventQueue) overflow(r *runnerState) error {
+	return fmt.Errorf("thread %d: virtual time %d reached the event queue's limit %d", r.id, r.time, q.limit)
 }
 
 // Len returns the number of live threads.
@@ -100,22 +77,17 @@ func (q *eventQueue) Len() int { return len(q.rs) }
 func (q *eventQueue) Min() *runnerState { return q.rs[0] }
 
 // FixMin restores heap order after the minimum's time advanced (the
-// only mutation the event loop performs on a live thread).
-func (q *eventQueue) FixMin() {
-	if q.packed {
-		if q.rs[0].time >= q.limit {
-			// Virtual time outgrew the packed field: degrade once to
-			// the unpacked order for the rest of the phase.
-			q.unpackFrom(q.rs)
-			// rs is already a heap except possibly slot 0; fall through.
-		} else {
-			q.keys[0] = q.pack(q.rs[0])
-			q.siftDown(0)
-			return
-		}
+// only mutation the event loop performs on a live thread). It fails,
+// leaving the queue unchanged, if the new time does not fit the
+// packed key.
+func (q *eventQueue) FixMin() error {
+	r := q.rs[0]
+	if r.time >= q.limit {
+		return q.overflow(r)
 	}
-	q.times[0] = q.rs[0].time
+	q.keys[0] = q.pack(r)
 	q.siftDown(0)
+	return nil
 }
 
 // PopMin removes and returns the earliest thread.
@@ -125,15 +97,8 @@ func (q *eventQueue) PopMin() *runnerState {
 	q.rs[0] = q.rs[last]
 	q.rs[last] = nil
 	q.rs = q.rs[:last]
-	if q.packed {
-		q.keys[0] = q.keys[last]
-		q.keys = q.keys[:last]
-	} else {
-		q.times[0] = q.times[last]
-		q.ids[0] = q.ids[last]
-		q.times = q.times[:last]
-		q.ids = q.ids[:last]
-	}
+	q.keys[0] = q.keys[last]
+	q.keys = q.keys[:last]
 	if last > 0 {
 		q.siftDown(0)
 	}
@@ -145,43 +110,21 @@ func (q *eventQueue) PopMin() *runnerState {
 // end, rather than swapping pairwise at every level.
 func (q *eventQueue) siftDown(i int) {
 	n := len(q.rs)
-	r := q.rs[i]
-	if q.packed {
-		k := q.keys[i]
-		for {
-			l := 2*i + 1
-			if l >= n {
-				break
-			}
-			m := l
-			if c := l + 1; c < n && q.keys[c] < q.keys[l] {
-				m = c
-			}
-			if q.keys[m] >= k {
-				break
-			}
-			q.rs[i], q.keys[i] = q.rs[m], q.keys[m]
-			i = m
-		}
-		q.rs[i], q.keys[i] = r, k
-		return
-	}
-	t, id := q.times[i], q.ids[i]
+	r, k := q.rs[i], q.keys[i]
 	for {
 		l := 2*i + 1
 		if l >= n {
 			break
 		}
 		m := l
-		if c := l + 1; c < n &&
-			(q.times[c] < q.times[l] || (q.times[c] == q.times[l] && q.ids[c] < q.ids[l])) {
+		if c := l + 1; c < n && q.keys[c] < q.keys[l] {
 			m = c
 		}
-		if !(q.times[m] < t || (q.times[m] == t && q.ids[m] < id)) {
+		if q.keys[m] >= k {
 			break
 		}
-		q.rs[i], q.times[i], q.ids[i] = q.rs[m], q.times[m], q.ids[m]
+		q.rs[i], q.keys[i] = q.rs[m], q.keys[m]
 		i = m
 	}
-	q.rs[i], q.times[i], q.ids[i] = r, t, id
+	q.rs[i], q.keys[i] = r, k
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/tintmalloc/tintmalloc/internal/clock"
@@ -30,7 +31,10 @@ func TestEventQueueOrdering(t *testing.T) {
 		rs = append(rs, &runnerState{id: i, time: clock.Time(rng.Intn(20))})
 	}
 	rng.Shuffle(len(rs), func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
-	q := newEventQueue(rs)
+	q, err := newEventQueue(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var prev *runnerState
 	for q.Len() > 0 {
 		r := q.PopMin()
@@ -52,7 +56,10 @@ func TestEventQueueFixMin(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		rs = append(rs, &runnerState{id: i, time: clock.Time(rng.Intn(50))})
 	}
-	q := newEventQueue(rs)
+	q, err := newEventQueue(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for step := 0; step < 5000; step++ {
 		// Reference selection: linear scan over every runner.
 		want := rs[0]
@@ -67,7 +74,43 @@ func TestEventQueueFixMin(t *testing.T) {
 				step, got.time, got.id, want.time, want.id)
 		}
 		got.time += clock.Dur(rng.Intn(7)) // 0 advances exercise stable ties
-		q.FixMin()
+		if err := q.FixMin(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A virtual time the packed key cannot hold fails the run and names
+// the thread. With thread ids 0 and 1 the key keeps one id bit, so
+// the limit is 2^63; with ids up to 3 it keeps two, so 2^62.
+func TestEventQueueLimitIsRunError(t *testing.T) {
+	compute := func(ds ...clock.Dur) Work {
+		return func(yield func(Op) bool) {
+			for _, d := range ds {
+				if !yield(Op{Compute: d}) {
+					return
+				}
+			}
+		}
+	}
+
+	// A Compute op that crosses the limit mid-phase.
+	e := newComputeEngine(t, 2)
+	_, err := e.Run([]Phase{Parallel("cross", []Work{compute(1, 2), compute(3, 1<<63, 4)})})
+	if err == nil || !strings.Contains(err.Error(), "thread 1: virtual time") {
+		t.Fatalf("crossing op: err = %v, want the event-queue limit naming thread 1", err)
+	}
+
+	// A phase that starts past its own limit: the first phase runs
+	// threads 0 and 1 to 2^62, and the second adds thread 3, which
+	// halves the time field.
+	e = newComputeEngine(t, 4)
+	_, err = e.Run([]Phase{
+		Parallel("wide", []Work{compute(1 << 62), compute(1), nil, nil}),
+		Parallel("narrow", []Work{compute(1), nil, nil, compute(1)}),
+	})
+	if err == nil || !strings.Contains(err.Error(), `phase "narrow": thread 0: virtual time`) {
+		t.Fatalf("late start: err = %v, want the event-queue limit naming thread 0", err)
 	}
 }
 
