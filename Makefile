@@ -97,7 +97,7 @@ serve-bench:
 	$(GO) run ./cmd/tintbench -exp serve -serve-ops 20000 -serve-out BENCH_serve.json
 
 microbench:
-	$(GO) test -bench=. -benchmem -benchtime=1x . ./internal/phys ./internal/cache ./internal/mem ./internal/kernel
+	$(GO) test -bench=. -benchmem -benchtime=1x . ./internal/phys ./internal/cache ./internal/mem ./internal/kernel ./internal/engine
 
 # CPU+heap profile of the suite experiment (the hot path behind every
 # figure). Inspect with `go tool pprof cpu.prof`; see CONTRIBUTING.md.

@@ -54,41 +54,39 @@ type Result struct {
 
 // Cache is a single set-associative level.
 //
-// Way state is structure-of-arrays: tags and replacement stamps live
-// in parallel slices indexed by set*ways+way. A tag entry is uint32
-// storing tag+1, so the zero value means invalid and the hit scan
-// sweeps half the memory a word-wide array would (the simulated tag
-// arrays are the simulator's own hottest data — a 12 MB L3 model
-// keeps 98K ways). Tags are line numbers right-shifted by the set
-// count; Access panics if one ever exceeds 32 bits, which with
-// 128-byte lines puts the modeled physical address space bound at
-// 512 GB per set — far past any machine the paper targets. A stamp
-// entry is uint64 tick<<1 | dirty with
-// tick a per-cache monotonic access counter starting at 1 (stamp 0
-// likewise means invalid). Both encodings make the slices' zero
-// values the empty cache, so New performs no fill pass — per-core
-// L1/L2 construction is just two allocations. Ticks are unique, so
-// the minimum stamp in a set identifies the exact LRU way and invalid
-// ways (stamp 0) are always victimized first — the same victim an
-// MRU-ordered list produces, without moving any memory on a hit. The
-// split also keeps the hit scan (tags only) and the victim scan
-// (stamps only) each on a single densely-packed array.
+// Each set is one contiguous record of way words in recency order,
+// most recently used first. A word is dirty<<31 | (tag+1), so the
+// zero word is an invalid way and the zero-valued array is the empty
+// cache: New performs no fill pass, and per-core L1/L2 construction
+// is one allocation. Tags are line numbers right-shifted by the set
+// count. The tag field holds 31 bits, so Access panics at the first
+// tag of 2^31-1, which with 128-byte lines and one set bounds the
+// modeled physical address space at 256 GB (each doubling of the set
+// count doubles it).
+//
+// A hit moves its word to the front, shifting the ways ahead of it
+// down one slot. A miss evicts the last word and shifts the rest
+// down. Invalid words therefore always sit at the tail, so they fill
+// before any valid way is evicted, and the tail is exactly the LRU
+// way. A record is padded to a power-of-two word count while that
+// stays within 64 bytes (Ways <= 16), so a set is one host cache
+// line at the default 12-way L3. The cost of a lookup is the host
+// lines it touches, not the words it moves.
 type Cache struct {
 	cfg      Config
 	setShift uint // log2(sets)
 	setMask  uint64
 	ways     int
-	tick     uint64 // monotonic access counter (starts at 1)
-	// tickAtReset is tick's value at the last ResetStats: the access
-	// counter doubles as the Accesses statistic (and Misses is
-	// Accesses-Hits), so the hot path pays for one counter, not three.
-	tickAtReset uint64
-	// tags[set*ways : (set+1)*ways] / stamps[...] hold one set; way
-	// order within a set is arbitrary (recency lives in the stamps).
-	tags   []uint32 // tag+1; 0 = invalid
-	stamps []uint64 // tick<<1 | dirty; 0 = invalid
-	stats  Stats
+	stride   int      // words per record: ways, padded as above
+	words    []uint32 // words[set*stride : set*stride+ways] hold one set
+	stats    Stats
 }
+
+// dirtyBit marks a way word dirty; the low 31 bits hold tag+1.
+const dirtyBit = 1 << 31
+
+// tagLimit is the first tag a way word cannot hold.
+const tagLimit = dirtyBit - 1
 
 // New validates cfg and builds the cache. sets = size/(line*ways)
 // must be a power of two.
@@ -96,22 +94,31 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.SizeBytes == 0 || cfg.Ways < 1 {
 		return nil, fmt.Errorf("cache %s: size and ways must be positive", cfg.Name)
 	}
-	lineSize := uint64(1) << cfg.LineShift
-	if cfg.SizeBytes%(lineSize*uint64(cfg.Ways)) != 0 {
+	// From a shift of 64 on, 1<<LineShift is 0, so every overflow
+	// shows as a high word or a zero product.
+	hi, setBytes := bits.Mul64(uint64(1)<<cfg.LineShift, uint64(cfg.Ways))
+	if hi != 0 || setBytes == 0 {
+		return nil, fmt.Errorf("cache %s: line size 2^%d times %d ways overflows 64 bits",
+			cfg.Name, cfg.LineShift, cfg.Ways)
+	}
+	if cfg.SizeBytes%setBytes != 0 {
 		return nil, fmt.Errorf("cache %s: size %d not divisible by line*ways", cfg.Name, cfg.SizeBytes)
 	}
-	sets := cfg.SizeBytes / (lineSize * uint64(cfg.Ways))
+	sets := cfg.SizeBytes / setBytes
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache %s: set count %d not a power of two", cfg.Name, sets)
 	}
-	n := sets * uint64(cfg.Ways)
+	stride := cfg.Ways
+	if cfg.Ways <= 16 {
+		stride = 1 << bits.Len(uint(cfg.Ways-1))
+	}
 	return &Cache{
 		cfg:      cfg,
 		setShift: uint(bits.TrailingZeros64(sets)),
 		setMask:  sets - 1,
 		ways:     cfg.Ways,
-		tags:     make([]uint32, n),
-		stamps:   make([]uint64, n),
+		stride:   stride,
+		words:    make([]uint32, sets*uint64(stride)),
 	}, nil
 }
 
@@ -130,58 +137,56 @@ func (c *Cache) SetOf(ln uint64) int { return int(ln & c.setMask) }
 // Access looks up line ln (an address right-shifted by LineShift),
 // installing it on a miss. write marks the line dirty.
 func (c *Cache) Access(ln uint64, write bool) Result {
-	c.tick++
+	c.stats.Accesses++
 	set := ln & c.setMask
 	tag := ln >> c.setShift
-	if tag >= 1<<32-1 {
-		panic(fmt.Sprintf("cache %s: line %#x tag exceeds 32 bits", c.cfg.Name, ln))
+	if tag >= tagLimit {
+		panic(fmt.Sprintf("cache %s: line %#x tag exceeds 31 bits", c.cfg.Name, ln))
 	}
 	want := uint32(tag) + 1
-	base := int(set) * c.ways
-	tags := c.tags[base : base+c.ways : base+c.ways]
-	stamps := c.stamps[base : base+c.ways : base+c.ways]
+	base := int(set) * c.stride
+	rec := c.words[base : base+c.ways : base+c.ways]
 
-	var w uint64
+	var d uint32
 	if write {
-		w = 1
+		d = dirtyBit
 	}
-	for i := range tags {
-		if tags[i] == want {
-			// Hit: refresh recency, keeping any prior dirty bit.
-			stamps[i] = c.tick<<1 | stamps[i]&1 | w
-			c.stats.Hits++
-			return Result{Hit: true}
-		}
+	// Find the line's way; on a miss, stop at the LRU way, the tail.
+	i := 0
+	for i < len(rec)-1 && rec[i]&^dirtyBit != want {
+		i++
 	}
-	victim := 0
-	min := stamps[0]
-	for i := 1; i < len(stamps); i++ {
-		if stamps[i] < min {
-			min, victim = stamps[i], i
-		}
+	w := rec[i]
+	for j := i; j > 0; j-- {
+		rec[j] = rec[j-1]
 	}
-	res := Result{}
-	if min != 0 {
-		c.stats.Evictions++
-		res.EvictedValid = true
-		res.EvictedDirty = min&1 != 0
-		res.EvictedLine = uint64(tags[victim]-1)<<c.setShift | set
+	if w&^dirtyBit == want {
+		rec[0] = w | d // keep any prior dirty bit
+		c.stats.Hits++
+		return Result{Hit: true}
 	}
-	tags[victim] = want
-	stamps[victim] = c.tick<<1 | w
-	return res
+	rec[0] = want | d
+	if w == 0 {
+		return Result{}
+	}
+	c.stats.Evictions++
+	return Result{
+		EvictedValid: true,
+		EvictedDirty: w&dirtyBit != 0,
+		EvictedLine:  uint64(w&^dirtyBit-1)<<c.setShift | set,
+	}
 }
 
 // Contains reports (without LRU side effects) whether ln is cached.
 func (c *Cache) Contains(ln uint64) bool {
 	set := ln & c.setMask
 	tag := ln >> c.setShift
-	if tag >= 1<<32-1 {
+	if tag >= tagLimit {
 		return false
 	}
-	base := int(set) * c.ways
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == uint32(tag)+1 {
+	base := int(set) * c.stride
+	for _, w := range c.words[base : base+c.ways] {
+		if w&^dirtyBit == uint32(tag)+1 {
 			return true
 		}
 	}
@@ -190,24 +195,17 @@ func (c *Cache) Contains(ln uint64) bool {
 
 // Flush invalidates every line (dirty contents are discarded; victim
 // write-back on flush is not modeled).
-func (c *Cache) Flush() {
-	clear(c.tags)
-	clear(c.stamps)
-}
+func (c *Cache) Flush() { clear(c.words) }
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats {
 	s := c.stats
-	s.Accesses = c.tick - c.tickAtReset
 	s.Misses = s.Accesses - s.Hits
 	return s
 }
 
 // ResetStats zeroes the counters without invalidating contents.
-func (c *Cache) ResetStats() {
-	c.stats = Stats{}
-	c.tickAtReset = c.tick
-}
+func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Opteron-like default level configurations (paper Sec. IV: 128 KB
 // L1, 512 KB private L2, 12 MB shared L3, 128-byte lines).

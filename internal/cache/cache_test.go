@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -113,6 +114,9 @@ func TestConfigValidation(t *testing.T) {
 		{SizeBytes: 1024, Ways: 0, LineShift: 7},
 		{SizeBytes: 1000, Ways: 2, LineShift: 7},        // not divisible
 		{SizeBytes: 3 * 2 * 128, Ways: 2, LineShift: 7}, // 3 sets: not pow2
+		{SizeBytes: 1024, Ways: 2, LineShift: 64},       // line size overflows
+		{SizeBytes: 1 << 20, Ways: 4, LineShift: 62},    // line*ways wraps to 0
+		{SizeBytes: 1 << 20, Ways: 3, LineShift: 63},    // line*ways overflows
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -222,36 +226,49 @@ func TestHitRate(t *testing.T) {
 	}
 }
 
-// Reference-model check: the cache must agree, access for access,
-// with a naive map+timestamp LRU simulation under random traffic.
+// Reference-model check: for every associativity, the cache must
+// agree, access for access, with a naive timestamp LRU simulation
+// under random reads and writes: the whole Result, Contains on a
+// random probe line, and the final counters. The 24-way case is a
+// record longer than one host line; 3 and 12 are padded.
 func TestAgainstReferenceLRU(t *testing.T) {
-	const (
-		sets = 8
-		ways = 4
-	)
-	c, err := New(Config{Name: "ref", SizeBytes: sets * ways * 128, Ways: ways, LineShift: 7, Latency: 1})
+	for _, ways := range []int{1, 2, 3, 8, 12, 16, 24} {
+		t.Run(fmt.Sprintf("ways=%d", ways), func(t *testing.T) {
+			checkAgainstReferenceLRU(t, ways)
+		})
+	}
+}
+
+func checkAgainstReferenceLRU(t *testing.T, ways int) {
+	const sets = 8
+	c, err := New(Config{Name: "ref", SizeBytes: uint64(sets * ways * 128), Ways: ways, LineShift: 7, Latency: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	type refLine struct {
-		tag  uint64
-		used int // timestamp of last use
+		ln    uint64
+		used  int // timestamp of last use
+		dirty bool
 	}
 	ref := make([][]refLine, sets) // per set, unordered
 	tick := 0
-	refAccess := func(ln uint64) bool {
+	var want Stats
+	refAccess := func(ln uint64, write bool) Result {
 		set := ln % sets
-		tag := ln / sets
 		tick++
+		want.Accesses++
 		for i := range ref[set] {
-			if ref[set][i].tag == tag {
-				ref[set][i].used = tick
-				return true
+			if l := &ref[set][i]; l.ln == ln {
+				l.used = tick
+				l.dirty = l.dirty || write
+				want.Hits++
+				return Result{Hit: true}
 			}
 		}
+		want.Misses++
 		if len(ref[set]) < ways {
-			ref[set] = append(ref[set], refLine{tag, tick})
-			return false
+			ref[set] = append(ref[set], refLine{ln, tick, write})
+			return Result{}
 		}
 		lru := 0
 		for i := range ref[set] {
@@ -259,17 +276,69 @@ func TestAgainstReferenceLRU(t *testing.T) {
 				lru = i
 			}
 		}
-		ref[set][lru] = refLine{tag, tick}
+		v := ref[set][lru]
+		ref[set][lru] = refLine{ln, tick, write}
+		want.Evictions++
+		return Result{EvictedLine: v.ln, EvictedValid: true, EvictedDirty: v.dirty}
+	}
+	refContains := func(ln uint64) bool {
+		for _, l := range ref[ln%sets] {
+			if l.ln == ln {
+				return true
+			}
+		}
 		return false
 	}
 
 	rng := rand.New(rand.NewSource(321))
+	span := sets * ways * 4 // 4x capacity -> plenty of conflicts
 	for i := 0; i < 50000; i++ {
-		ln := uint64(rng.Intn(sets * ways * 4)) // 4x capacity -> plenty of conflicts
-		gotHit := c.Access(ln, rng.Intn(2) == 0).Hit
-		wantHit := refAccess(ln)
-		if gotHit != wantHit {
-			t.Fatalf("access %d (line %d): cache hit=%v, reference hit=%v", i, ln, gotHit, wantHit)
+		ln := uint64(rng.Intn(span))
+		write := rng.Intn(3) == 0
+		if got, want := c.Access(ln, write), refAccess(ln, write); got != want {
+			t.Fatalf("access %d (line %d, write=%v): cache %+v, reference %+v", i, ln, write, got, want)
+		}
+		probe := uint64(rng.Intn(span))
+		if got, want := c.Contains(probe), refContains(probe); got != want {
+			t.Fatalf("after access %d: Contains(%d) = %v, reference %v", i, probe, got, want)
 		}
 	}
+	if got := c.Stats(); got != want {
+		t.Errorf("Stats = %+v, reference %+v", got, want)
+	}
+}
+
+// The way word holds tag+1 in 31 bits, so in a one-set cache (where
+// the tag is the whole line number) line 2^31-2 is the last one a
+// cache can hold: it installs, stays dirty and evicts intact, while
+// line 2^31-1 is never contained and panics on access.
+func TestTagBound(t *testing.T) {
+	c, err := New(Config{Name: "one-set", SizeBytes: 2 * 128, Ways: 2, LineShift: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Sets() != 1 {
+		t.Fatalf("Sets = %d, want 1", c.Sets())
+	}
+	const last = 1<<31 - 2
+	if r := c.Access(last, true); r.Hit || r.EvictedValid {
+		t.Fatalf("cold access to the last line: %+v", r)
+	}
+	if !c.Contains(last) {
+		t.Fatal("last representable line not contained after install")
+	}
+	c.Access(0, false)
+	r := c.Access(1, false)
+	if want := (Result{EvictedLine: last, EvictedValid: true, EvictedDirty: true}); r != want {
+		t.Errorf("evicting the last line: %+v, want %+v", r, want)
+	}
+	if c.Contains(last + 1) {
+		t.Error("Contains(2^31-1) = true, want false")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Access(2^31-1) did not panic")
+		}
+	}()
+	c.Access(last+1, false)
 }

@@ -451,10 +451,10 @@ func (e *Engine) runPhase(ph Phase, res *Result, barrier bool) (PhaseResult, err
 	}()
 
 	// The conservative discrete-event loop: always step the earliest
-	// thread (ties by id). The indexed min-heap makes each step
-	// O(log n); because (time, id) is a strict total order it selects
-	// exactly the thread the former linear scan did.
-	q, runErr := newEventQueue(append([]*runnerState(nil), live...))
+	// thread (ties by id). Because (time, id) is a strict total order
+	// the event queue selects exactly the thread the former linear
+	// scan did.
+	q, runErr := newEventQueue(live)
 	for runErr == nil && q.Len() > 0 {
 		r := q.Min()
 		if r.ops++; r.ops > e.opBudget {

@@ -3,61 +3,73 @@ package engine
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"github.com/tintmalloc/tintmalloc/internal/clock"
 )
 
-// eventQueue is a binary min-heap over the live threads of a phase,
-// ordered by (virtual time, thread id). It replaces the linear
-// earliest-thread scan of the conservative discrete-event loop: with
-// n live threads a scheduling step costs O(log n) instead of O(n).
+// eventQueue orders the live threads of a phase by (virtual time,
+// thread id). It replaces the linear earliest-thread scan of the
+// conservative discrete-event loop.
 //
 // The ordering key is a strict total order — thread ids are unique —
-// so the heap's minimum is exactly the thread the linear scan would
+// so the queue's minimum is exactly the thread the linear scan would
 // have picked, and the two schedulers are step-for-step identical.
 // The determinism regression test (internal/bench
 // TestRunsAreByteIdentical) and the engine's scheduler-equivalence
 // test pin this down.
 //
-// Keys are packed: time<<idBits | id in one uint64 per slot, so a
-// sift comparison is a single integer compare on one contiguous
-// array, and it orders exactly as the (time, id) pair does. idBits is
-// sized to the phase's largest thread id, which leaves 64-idBits bits
-// of virtual time headroom — with even 1024 threads that is 2^54
-// cycles, far past any simulation. A time at or past that limit
-// cannot be packed, so the queue returns an error naming the thread.
+// Keys are packed: time<<idBits | id in one uint64, which orders
+// exactly as the (time, id) pair does, and the id half names the
+// runner. idBits is sized to the phase's largest thread id, which
+// leaves 64-idBits bits of virtual time headroom — with even 1024
+// threads that is 2^54 cycles, far past any simulation. A time at or
+// past that limit cannot be packed, so the queue returns an error
+// naming the thread.
+//
+// The keys sit in a ring kept sorted from the head, the minimum. The
+// event loop only ever advances the minimum's time, and a thread that
+// just stepped tends to fall behind most of the others, so FixMin
+// reinserts its key by scanning back from the tail. A step costs one
+// compare plus one move per key the stepped thread does not pass:
+// O(n) at worst, against a binary heap's O(log n), but a loop the host
+// predicts well, where the heap's sift branches unpredictably. The
+// measured depths behind this choice are in DESIGN.md Sec. 8.
 type eventQueue struct {
-	rs     []*runnerState
+	byID   []*runnerState // byID[id] is the runner with that id
+	keys   []uint64       // ring of time<<idBits | id, sorted from head
+	head   int
+	n      int // live threads
+	mask   int // len(keys)-1; len(keys) is a power of two
 	idBits uint
+	idMask uint64
 	limit  clock.Time // first unrepresentable time
-	keys   []uint64   // keys[i] = time<<idBits | id
 }
 
-// newEventQueue heapifies the given runners in place. It fails if a
-// runner's time does not fit the packed key.
+// newEventQueue queues the given runners. It fails if a runner's
+// time does not fit the packed key.
 func newEventQueue(rs []*runnerState) (*eventQueue, error) {
-	q := &eventQueue{rs: rs}
 	maxID := 0
 	for _, r := range rs {
-		if r.id > maxID {
-			maxID = r.id
-		}
+		maxID = max(maxID, r.id)
 	}
-	q.idBits = uint(bits.Len(uint(maxID)))
-	if q.idBits == 0 {
-		q.idBits = 1
+	q := &eventQueue{
+		byID:   make([]*runnerState, maxID+1),
+		keys:   make([]uint64, 1<<bits.Len(uint(max(len(rs), 1)-1))),
+		n:      len(rs),
+		idBits: uint(max(bits.Len(uint(maxID)), 1)),
 	}
+	q.mask = len(q.keys) - 1
+	q.idMask = 1<<q.idBits - 1
 	q.limit = clock.Time(1) << (64 - q.idBits)
-	q.keys = make([]uint64, len(rs))
 	for i, r := range rs {
 		if r.time >= q.limit {
 			return nil, q.overflow(r)
 		}
+		q.byID[r.id] = r
 		q.keys[i] = q.pack(r)
 	}
-	for i := len(rs)/2 - 1; i >= 0; i-- {
-		q.siftDown(i)
-	}
+	slices.Sort(q.keys[:q.n])
 	return q, nil
 }
 
@@ -70,61 +82,48 @@ func (q *eventQueue) overflow(r *runnerState) error {
 }
 
 // Len returns the number of live threads.
-func (q *eventQueue) Len() int { return len(q.rs) }
+func (q *eventQueue) Len() int { return q.n }
 
 // Min returns the earliest thread (ties broken by lowest id) without
 // removing it.
-func (q *eventQueue) Min() *runnerState { return q.rs[0] }
+func (q *eventQueue) Min() *runnerState { return q.byID[q.keys[q.head]&q.idMask] }
 
-// FixMin restores heap order after the minimum's time advanced (the
+// FixMin restores the order after the minimum's time advanced (the
 // only mutation the event loop performs on a live thread). It fails,
 // leaving the queue unchanged, if the new time does not fit the
 // packed key.
 func (q *eventQueue) FixMin() error {
-	r := q.rs[0]
+	r := q.Min()
 	if r.time >= q.limit {
 		return q.overflow(r)
 	}
-	q.keys[0] = q.pack(r)
-	q.siftDown(0)
+	k := q.pack(r)
+	next := (q.head + 1) & q.mask
+	if q.n == 1 || k < q.keys[next] {
+		q.keys[q.head] = k
+		return nil
+	}
+	// The runner-up becomes the head. Every key left is below k
+	// from there on, so the backward scan stops at the head at the
+	// latest.
+	q.head = next
+	i := (q.head + q.n - 1) & q.mask
+	for {
+		p := (i - 1) & q.mask
+		if q.keys[p] < k {
+			break
+		}
+		q.keys[i] = q.keys[p]
+		i = p
+	}
+	q.keys[i] = k
 	return nil
 }
 
 // PopMin removes and returns the earliest thread.
 func (q *eventQueue) PopMin() *runnerState {
-	r := q.rs[0]
-	last := len(q.rs) - 1
-	q.rs[0] = q.rs[last]
-	q.rs[last] = nil
-	q.rs = q.rs[:last]
-	q.keys[0] = q.keys[last]
-	q.keys = q.keys[:last]
-	if last > 0 {
-		q.siftDown(0)
-	}
+	r := q.Min()
+	q.head = (q.head + 1) & q.mask
+	q.n--
 	return r
-}
-
-// siftDown restores heap order below slot i. It shifts the smaller
-// child up into the hole and places the sifting element once at the
-// end, rather than swapping pairwise at every level.
-func (q *eventQueue) siftDown(i int) {
-	n := len(q.rs)
-	r, k := q.rs[i], q.keys[i]
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if c := l + 1; c < n && q.keys[c] < q.keys[l] {
-			m = c
-		}
-		if q.keys[m] >= k {
-			break
-		}
-		q.rs[i], q.keys[i] = q.rs[m], q.keys[m]
-		i = m
-	}
-	q.rs[i], q.keys[i] = r, k
 }

@@ -20,7 +20,7 @@ func newComputeEngine(t *testing.T, n int) *Engine {
 	return newRig(t, cores).e
 }
 
-// The heap must hand back runners in exactly (time, id) order, the
+// The queue must hand back runners in exactly (time, id) order, the
 // order the old linear scan selected.
 func TestEventQueueOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -70,7 +70,7 @@ func TestEventQueueFixMin(t *testing.T) {
 		}
 		got := q.Min()
 		if got != want {
-			t.Fatalf("step %d: heap min (%d,%d) != scan min (%d,%d)",
+			t.Fatalf("step %d: queue min (%d,%d) != scan min (%d,%d)",
 				step, got.time, got.id, want.time, want.id)
 		}
 		got.time += clock.Dur(rng.Intn(7)) // 0 advances exercise stable ties
@@ -114,7 +114,7 @@ func TestEventQueueLimitIsRunError(t *testing.T) {
 	}
 }
 
-// The min-heap scheduler must execute a phase's ops in the same
+// The event-queue scheduler must execute a phase's ops in the same
 // global order as the reference earliest-thread linear scan,
 // including ties resolved by thread id.
 func TestSchedulerMatchesLinearScanReference(t *testing.T) {
@@ -187,6 +187,42 @@ func TestSchedulerMatchesLinearScanReference(t *testing.T) {
 	}
 	if res.Ops != uint64(len(wantOrder)) {
 		t.Errorf("Result.Ops = %d, want %d", res.Ops, len(wantOrder))
+	}
+}
+
+// A phase whose bodies are all nil queues no runners. It executes no
+// ops and charges no idle, not even to a thread that waits at its
+// barrier, and it ends at the latest release time: here the slower
+// thread's end of the NoWait phase before it.
+func TestEmptyPhase(t *testing.T) {
+	e := newComputeEngine(t, 2)
+	res, err := e.Run([]Phase{
+		NoWaitParallel("a", []Work{computeWork(1, 100), computeWork(1, 300)}),
+		Parallel("empty", []Work{nil, nil}),
+		Parallel("b", []Work{computeWork(1, 10), computeWork(1, 10)}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := res.Phases[1]
+	if pr.Start != 300 || pr.End != 300 || pr.Parallel {
+		t.Errorf("empty phase: Start %d End %d Parallel %v, want 300 300 false", pr.Start, pr.End, pr.Parallel)
+	}
+	if pr.ThreadEnd[0] != 100 || pr.ThreadEnd[1] != 300 {
+		t.Errorf("empty phase ThreadEnd = %v, want the release times [100 300]", pr.ThreadEnd)
+	}
+	if res.Ops != 4 || res.TotalIdle != 0 || res.Runtime != 310 {
+		t.Errorf("Ops %d TotalIdle %d Runtime %d, want 4 0 310", res.Ops, res.TotalIdle, res.Runtime)
+	}
+
+	// A run of nothing but an empty phase.
+	e = newComputeEngine(t, 2)
+	res, err = e.Run([]Phase{Parallel("empty", []Work{nil, nil})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops != 0 || res.TotalIdle != 0 || res.Runtime != 0 {
+		t.Errorf("Ops %d TotalIdle %d Runtime %d, want 0 0 0", res.Ops, res.TotalIdle, res.Runtime)
 	}
 }
 

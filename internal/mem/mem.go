@@ -130,6 +130,13 @@ func New(topo *topology.Topology, mapping *phys.Mapping, cfg Config) (*System, e
 		linkBusy: make([]clock.Time, topo.Nodes()*topo.Nodes()),
 		stats:    make([]CoreStats, topo.Cores()),
 	}
+	// AccessLevel numbers lines by phys.LineShift for every level.
+	for _, c := range []cache.Config{cfg.L1, cfg.L2, cfg.L3} {
+		if c.LineShift != phys.LineShift {
+			return nil, fmt.Errorf("mem: cache %s line shift %d, want phys.LineShift %d",
+				c.Name, c.LineShift, phys.LineShift)
+		}
+	}
 	// Per-core L1/L2 pairs are built lazily at a core's first access:
 	// a sweep that engages 16 of 32 cores (or a fresh System per cell,
 	// as the bench harness does) never pays for the idle cores'

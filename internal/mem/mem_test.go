@@ -3,6 +3,7 @@ package mem
 import (
 	"testing"
 
+	"github.com/tintmalloc/tintmalloc/internal/cache"
 	"github.com/tintmalloc/tintmalloc/internal/clock"
 	"github.com/tintmalloc/tintmalloc/internal/phys"
 	"github.com/tintmalloc/tintmalloc/internal/topology"
@@ -151,6 +152,28 @@ func TestNodeMismatchRejected(t *testing.T) {
 	}
 	if _, err := New(top, m, DefaultConfig()); err == nil {
 		t.Error("New accepted node-count mismatch")
+	}
+}
+
+// AccessLevel numbers lines by phys.LineShift, so a level with any
+// other line size would index its sets by the wrong bits: a 64-byte
+// L3 line would silently build 16,384 sets, a 24 MB cache.
+func TestLineShiftMismatchRejected(t *testing.T) {
+	top := topology.Opteron6128()
+	m, err := phys.DefaultSeparable(testMem, top.Nodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		cfg := DefaultConfig()
+		lvl := []*cache.Config{&cfg.L1, &cfg.L2, &cfg.L3}[i]
+		lvl.LineShift = phys.LineShift - 1
+		if _, err := cache.New(*lvl); err != nil {
+			t.Fatalf("%s: the cache itself should accept LineShift %d: %v", lvl.Name, lvl.LineShift, err)
+		}
+		if _, err := New(top, m, cfg); err == nil {
+			t.Errorf("New accepted %s LineShift %d, want phys.LineShift %d", lvl.Name, lvl.LineShift, phys.LineShift)
+		}
 	}
 }
 
