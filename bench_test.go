@@ -25,6 +25,7 @@ import (
 	"github.com/tintmalloc/tintmalloc/internal/kernel"
 	"github.com/tintmalloc/tintmalloc/internal/phys"
 	"github.com/tintmalloc/tintmalloc/internal/policy"
+	"github.com/tintmalloc/tintmalloc/internal/suite"
 	"github.com/tintmalloc/tintmalloc/internal/topology"
 	"github.com/tintmalloc/tintmalloc/internal/workload"
 )
@@ -67,10 +68,19 @@ func BenchmarkLatencyLocalVsRemote(b *testing.B) {
 }
 
 // BenchmarkFig10Synthetic reproduces Fig. 10: synthetic alternating-
-// stride execution time under buddy/LLC/MEM/MEM+LLC coloring.
+// stride execution time under the fig10 registry entry's policies
+// (buddy/LLC/MEM/MEM+LLC coloring).
 func BenchmarkFig10Synthetic(b *testing.B) {
-	for _, pol := range bench.Fig10Policies() {
-		b.Run(pol.String(), func(b *testing.B) {
+	fig10, err := suite.Default().ByName("fig10")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range fig10.Policies {
+		pol, err := policy.ParsePolicy(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
 			mach := benchMachine(b)
 			cfg := benchConfig(b, mach, "16_threads_4_nodes")
 			var last bench.RunMetrics

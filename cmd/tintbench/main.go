@@ -18,16 +18,21 @@
 //	tintbench -suite smoke                 # run a registry suite
 //	tintbench -suites my.toml -suite mine  # user registry over defaults
 //
-// -suite runs a declaratively described workload × config × policy
-// matrix from the suite registry (internal/suite): the embedded
-// defaults re-express the hard-coded experiments, and -suites merges
-// a user TOML/JSON file over them. Explicit -scale/-repeats/-seed
-// flags override the suite entry's values.
+// The figure experiments (-exp fig10..fig14 and detail) run the
+// embedded registry entries fig10, paper, perthread-lbm and
+// detail-lbm (internal/suite) through suite.Run; -config/-workload and
+// -configs/-workloads, when given, replace the entry's configs and
+// workloads. -suite runs any registry entry by name, and -suites
+// merges a user TOML/JSON file over the embedded defaults for -suite
+// runs only. Explicit -scale/-repeats/-seed flags override a -suite
+// entry's values; under -exp, an entry's own values win (perthread-lbm
+// pins one repeat).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -37,7 +42,6 @@ import (
 
 	"github.com/tintmalloc/tintmalloc/internal/bench"
 	"github.com/tintmalloc/tintmalloc/internal/fault"
-	"github.com/tintmalloc/tintmalloc/internal/policy"
 	"github.com/tintmalloc/tintmalloc/internal/serve"
 	"github.com/tintmalloc/tintmalloc/internal/suite"
 	"github.com/tintmalloc/tintmalloc/internal/workload"
@@ -50,10 +54,10 @@ func main() {
 		repeats    = flag.Int("repeats", 3, "repetitions per cell (paper used 10)")
 		seed       = flag.Int64("seed", 1, "base random seed")
 		memGiB     = flag.Float64("mem", 2, "installed physical memory in GiB")
-		cfgName    = flag.String("config", "16_threads_4_nodes", "configuration for fig10/fig13/fig14")
-		wlName     = flag.String("workload", "lbm", "workload for fig13/fig14")
-		wlFilter   = flag.String("workloads", "", "comma-separated workload filter for fig11/fig12 (default: all six)")
-		cfgFilter  = flag.String("configs", "", "comma-separated config filter for fig11/fig12 (default: all five)")
+		cfgName    = flag.String("config", "16_threads_4_nodes", "configuration for fig10/fig13/fig14/detail/sweep/chaos")
+		wlName     = flag.String("workload", "lbm", "workload for fig13/fig14/detail/sweep")
+		wlFilter   = flag.String("workloads", "", "comma-separated workloads for fig11/fig12/chaos (default: all six)")
+		cfgFilter  = flag.String("configs", "", "comma-separated configs for fig11/fig12 (default: all five)")
 		overlapped = flag.Bool("overlapped", false, "use the paper-faithful overlapped Opteron bit mapping")
 		format     = flag.String("format", "table", "output format: table|csv|chart|json")
 		parallel   = flag.Int("parallel", runtime.NumCPU(), "concurrent cells per experiment (identical results, faster wall clock)")
@@ -72,6 +76,11 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
 	flag.Parse()
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	if err := checkFlags(*exp, *format, *suiteName, *scale, *memGiB, *repeats); err != nil {
+		fatal(err)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -99,17 +108,9 @@ func main() {
 
 	memBytes := uint64(*memGiB * (1 << 30))
 	params := workload.Params{Seed: *seed, Scale: *scale}
-
-	if err := checkFlags(*exp, *format); err != nil {
-		fatal(err)
-	}
 	csvOut := *format == "csv"
 	chartOut := *format == "chart"
 	jsonOut := *format == "json"
-
-	if *suiteName != "" && (*exp == "bench" || *exp == "serve") {
-		fatal(fmt.Errorf("-suite does not combine with -exp %s", *exp))
-	}
 
 	if *exp == "bench" {
 		if err := runBenchHarness(os.Stdout, *benchOut, *benchPar, memBytes, params, *repeats, *benchSamp); err != nil {
@@ -154,35 +155,65 @@ func main() {
 		}
 		// Flags the user typed explicitly beat the registry entry;
 		// entry values beat the flag defaults (suite.Effective).
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "scale":
-				s.Scale = *scale
-			case "seed":
-				s.Seed = *seed
-			case "repeats":
-				s.Repeats = *repeats
-			}
-		})
+		if given["scale"] {
+			s.Scale = *scale
+		}
+		if given["seed"] {
+			s.Seed = *seed
+		}
+		if given["repeats"] {
+			s.Repeats = *repeats
+		}
 		r, err := suite.Run(mach, s, params, *repeats, *parallel)
 		if err != nil {
 			fatal(err)
 		}
 		switch {
 		case csvOut:
-			if err := r.WriteCSV(os.Stdout); err != nil {
-				fatal(err)
-			}
+			err = r.WriteCSV(os.Stdout)
 		case jsonOut:
-			if err := r.WriteJSON(os.Stdout); err != nil {
-				fatal(err)
-			}
-		case chartOut:
-			fatal(fmt.Errorf("-format chart is not supported in suite mode (use table, csv or json)"))
+			err = r.WriteJSON(os.Stdout)
 		default:
 			r.WriteTable(os.Stdout)
 		}
+		if err != nil {
+			fatal(err)
+		}
 		return
+	}
+
+	// figure runs one of the paper's matrices from the embedded
+	// registry, with its workloads and configs replaced by any given
+	// (non-nil) here.
+	figure := func(entry string, workloads, configs []string) ([]bench.Cell, error) {
+		s, err := suite.Default().ByName(entry)
+		if err != nil {
+			return nil, err
+		}
+		if workloads != nil {
+			s.Workloads = nil
+			for _, name := range workloads {
+				s.Workloads = append(s.Workloads, suite.WorkloadSpec{Driver: name})
+			}
+		}
+		if configs != nil {
+			s.Configs = configs
+		}
+		r, err := suite.Run(mach, s, params, *repeats, *parallel)
+		if err != nil {
+			return nil, err
+		}
+		return r.Cells, nil
+	}
+	// The single-workload, single-config figures take -workload and
+	// -config only when they were typed: the flag defaults serve sweep
+	// and chaos, and the registry entry is the figures' default.
+	var oneWorkload, oneConfig []string
+	if given["workload"] {
+		oneWorkload = []string{*wlName}
+	}
+	if given["config"] {
+		oneConfig = []string{*cfgName}
 	}
 
 	run := func(name string, f func() error) {
@@ -211,18 +242,11 @@ func main() {
 	})
 
 	run("detail", func() error {
-		wl, err := workload.ByName(*wlName)
+		cells, err := figure("detail-lbm", oneWorkload, oneConfig)
 		if err != nil {
 			return err
 		}
-		cfg, err := bench.ConfigByName(mach.Topo, *cfgName)
-		if err != nil {
-			return err
-		}
-		r, err := bench.RunDetail(mach, wl, cfg, params, *repeats, *parallel)
-		if err != nil {
-			return err
-		}
+		r := bench.NewDetailResult(cells)
 		switch {
 		case csvOut:
 			return r.WriteCSV(os.Stdout)
@@ -322,14 +346,11 @@ func main() {
 	})
 
 	run("fig10", func() error {
-		cfg, err := bench.ConfigByName(mach.Topo, *cfgName)
+		cells, err := figure("fig10", nil, oneConfig)
 		if err != nil {
 			return err
 		}
-		r, err := bench.RunFig10(mach, cfg, params, *repeats, *parallel)
-		if err != nil {
-			return err
-		}
+		r := bench.NewFig10Result(cells)
 		switch {
 		case csvOut:
 			return r.WriteCSV(os.Stdout)
@@ -343,23 +364,13 @@ func main() {
 		return nil
 	})
 
-	suite := func(write func(*bench.SuiteResult) error) error {
-		loads, err := selectWorkloads(*wlFilter)
-		if err != nil {
-			return err
-		}
-		cfgs, err := selectConfigs(mach, *cfgFilter)
-		if err != nil {
-			return err
-		}
-		r, err := bench.RunSuiteParallel(mach, loads, cfgs, params, *repeats, *parallel)
-		if err != nil {
-			return err
-		}
-		return write(r)
-	}
 	// fig11 and fig12 share the same runs; under -exp all compute once.
-	writeSuite := func(r *bench.SuiteResult, runtime, idle bool) error {
+	paper := func(runtime, idle bool) error {
+		cells, err := figure("paper", splitList(*wlFilter), splitList(*cfgFilter))
+		if err != nil {
+			return err
+		}
+		r := bench.NewSuiteResult(cells)
 		if csvOut {
 			return r.WriteCSV(os.Stdout)
 		}
@@ -386,33 +397,21 @@ func main() {
 		return nil
 	}
 	if *exp == "all" {
-		if err := suite(func(r *bench.SuiteResult) error { return writeSuite(r, true, true) }); err != nil {
+		if err := paper(true, true); err != nil {
 			fatal(err)
 		}
 		fmt.Println()
 	} else {
-		run("fig11", func() error {
-			return suite(func(r *bench.SuiteResult) error { return writeSuite(r, true, false) })
-		})
-		run("fig12", func() error {
-			return suite(func(r *bench.SuiteResult) error { return writeSuite(r, false, true) })
-		})
+		run("fig11", func() error { return paper(true, false) })
+		run("fig12", func() error { return paper(false, true) })
 	}
 
 	perThread := func() error {
-		wl, err := workload.ByName(*wlName)
+		cells, err := figure("perthread-lbm", oneWorkload, oneConfig)
 		if err != nil {
 			return err
 		}
-		cfg, err := bench.ConfigByName(mach.Topo, *cfgName)
-		if err != nil {
-			return err
-		}
-		pols := []policy.Policy{policy.Buddy, policy.BPM, policy.MEMLLC}
-		r, err := bench.RunPerThread(mach, wl, cfg, pols, params, *parallel)
-		if err != nil {
-			return err
-		}
+		r := bench.NewPerThreadResult(cells)
 		switch {
 		case csvOut:
 			return r.WriteCSV(os.Stdout)
@@ -435,17 +434,33 @@ var experiments = []string{
 	"sweep", "chaos", "adaptive", "bench", "serve", "all",
 }
 
-// checkFlags rejects an -exp or -format value main does not know,
+// checkFlags rejects flag values and combinations main does not run,
 // before any experiment starts.
-func checkFlags(exp, format string) error {
+func checkFlags(exp, format, suiteName string, scale, memGiB float64, repeats int) error {
 	if !slices.Contains(experiments, exp) {
 		return fmt.Errorf("unknown experiment %q (want %s)", exp, strings.Join(experiments, "|"))
 	}
 	switch format {
 	case "table", "csv", "chart", "json":
-		return nil
+	default:
+		return fmt.Errorf("unknown format %q", format)
 	}
-	return fmt.Errorf("unknown format %q", format)
+	if !(scale > 0) || math.IsInf(scale, 0) {
+		return fmt.Errorf("-scale: must be finite and > 0, have %v", scale)
+	}
+	if !(memGiB > 0) || math.IsInf(memGiB, 0) {
+		return fmt.Errorf("-mem: must be finite and > 0, have %v", memGiB)
+	}
+	if repeats < 1 {
+		return fmt.Errorf("-repeats: must be >= 1, have %d", repeats)
+	}
+	if suiteName != "" && (exp == "bench" || exp == "serve") {
+		return fmt.Errorf("-suite does not combine with -exp %s", exp)
+	}
+	if suiteName != "" && suiteName != "list" && format == "chart" {
+		return fmt.Errorf("-format chart is not supported in suite mode (use table, csv or json)")
+	}
+	return nil
 }
 
 func parseFloats(csv string) ([]float64, error) {
@@ -490,19 +505,16 @@ func selectPlans(filter string) ([]fault.Plan, error) {
 	return out, nil
 }
 
-func selectConfigs(mach *bench.Machine, filter string) ([]bench.Config, error) {
-	if filter == "" {
-		return bench.Configurations(mach.Topo), nil
+// splitList splits a comma-separated flag value; empty means none.
+func splitList(csv string) []string {
+	if csv == "" {
+		return nil
 	}
-	var out []bench.Config
-	for _, name := range strings.Split(filter, ",") {
-		c, err := bench.ConfigByName(mach.Topo, strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
+	var out []string
+	for _, name := range strings.Split(csv, ",") {
+		out = append(out, strings.TrimSpace(name))
 	}
-	return out, nil
+	return out
 }
 
 func fatal(err error) {

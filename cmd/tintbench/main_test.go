@@ -1,25 +1,67 @@
 package main
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
-// TestCheckFlags pins the usage-error surface: an -exp or -format
-// value main does not run must fail before any experiment starts,
-// rather than print nothing and exit 0. "offload" names an
+// TestCheckFlags pins the usage-error surface: a flag value or
+// combination main does not run must fail before any experiment
+// starts, rather than print nothing and exit 0, run at a size nobody
+// asked for, or fail only after the whole run. "offload" names an
 // experiment that was removed.
 func TestCheckFlags(t *testing.T) {
+	type flags struct {
+		exp, format, suite string
+		scale, mem         float64
+		repeats            int
+	}
+	ok := flags{exp: "all", format: "table", scale: 1, mem: 2, repeats: 3}
+	check := func(f flags) error {
+		return checkFlags(f.exp, f.format, f.suite, f.scale, f.mem, f.repeats)
+	}
 	for _, exp := range experiments {
-		if err := checkFlags(exp, "table"); err != nil {
+		f := ok
+		f.exp = exp
+		if err := check(f); err != nil {
 			t.Errorf("-exp %s: %v", exp, err)
 		}
 	}
-	for _, c := range []struct{ exp, format string }{
-		{"nosuchexp", "table"},
-		{"offload", "table"},
-		{"", "table"},
-		{"all", "xml"},
+	for _, f := range []flags{
+		{exp: "all", format: "csv", scale: 0.05, mem: 0.5, repeats: 1},
+		{exp: "all", format: "chart", suite: "list", scale: 1, mem: 2, repeats: 1},
+		{exp: "all", format: "json", suite: "smoke", scale: 1, mem: 2, repeats: 1},
 	} {
-		if err := checkFlags(c.exp, c.format); err == nil {
-			t.Errorf("-exp %q -format %q accepted", c.exp, c.format)
+		if err := check(f); err != nil {
+			t.Errorf("%+v rejected: %v", f, err)
+		}
+	}
+	bad := func(mut func(*flags)) flags {
+		f := ok
+		mut(&f)
+		return f
+	}
+	for _, f := range []flags{
+		bad(func(f *flags) { f.exp = "nosuchexp" }),
+		bad(func(f *flags) { f.exp = "offload" }),
+		bad(func(f *flags) { f.exp = "" }),
+		bad(func(f *flags) { f.format = "xml" }),
+		bad(func(f *flags) { f.scale = 0 }),
+		bad(func(f *flags) { f.scale = -1 }),
+		bad(func(f *flags) { f.scale = math.NaN() }),
+		bad(func(f *flags) { f.scale = math.Inf(1) }),
+		bad(func(f *flags) { f.mem = 0 }),
+		bad(func(f *flags) { f.mem = -1 }),
+		bad(func(f *flags) { f.mem = math.NaN() }),
+		bad(func(f *flags) { f.mem = math.Inf(1) }),
+		bad(func(f *flags) { f.repeats = 0 }),
+		bad(func(f *flags) { f.repeats = -2 }),
+		bad(func(f *flags) { f.suite, f.format = "smoke", "chart" }),
+		bad(func(f *flags) { f.suite, f.exp = "smoke", "bench" }),
+		bad(func(f *flags) { f.suite, f.exp = "list", "serve" }),
+	} {
+		if err := check(f); err == nil {
+			t.Errorf("%+v accepted", f)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"github.com/tintmalloc/tintmalloc/internal/bench"
 	"github.com/tintmalloc/tintmalloc/internal/benchfmt"
 	"github.com/tintmalloc/tintmalloc/internal/fault"
-	"github.com/tintmalloc/tintmalloc/internal/policy"
+	"github.com/tintmalloc/tintmalloc/internal/suite"
 	"github.com/tintmalloc/tintmalloc/internal/workload"
 )
 
@@ -42,7 +42,7 @@ func benchExperiments(memBytes uint64, params workload.Params, repeats int) ([]p
 		return bench.NewMachine(bench.MachineOptions{MemBytes: memBytes})
 	}
 	lbm := workload.LBM()
-	return []perfExperiment{
+	exps := []perfExperiment{
 		{"latency", func(workers int) (int, uint64, error) {
 			mach, err := newMach()
 			if err != nil {
@@ -54,74 +54,30 @@ func benchExperiments(memBytes uint64, params workload.Params, repeats int) ([]p
 			}
 			return len(r.Rows), 0, nil
 		}},
-		{"fig10", func(workers int) (int, uint64, error) {
+	}
+	// The figure series run the embedded registry's paper matrices
+	// unmodified: a -suites file never reshapes what is timed.
+	reg := suite.Default()
+	for _, f := range []struct{ series, entry string }{
+		{"fig10", "fig10"}, {"suite", "paper"}, {"perthread", "perthread-lbm"}, {"detail", "detail-lbm"},
+	} {
+		s, err := reg.ByName(f.entry)
+		if err != nil {
+			return nil, err
+		}
+		exps = append(exps, perfExperiment{f.series, func(workers int) (int, uint64, error) {
 			mach, err := newMach()
 			if err != nil {
 				return 0, 0, err
 			}
-			cfg, err := bench.ConfigByName(mach.Topo, "16_threads_4_nodes")
+			r, err := suite.Run(mach, s, params, repeats, workers)
 			if err != nil {
 				return 0, 0, err
 			}
-			r, err := bench.RunFig10(mach, cfg, params, repeats, workers)
-			if err != nil {
-				return 0, 0, err
-			}
-			var ops uint64
-			for _, c := range r.Cells {
-				ops += c.Ops
-			}
-			return len(r.Cells), ops, nil
-		}},
-		{"suite", func(workers int) (int, uint64, error) {
-			mach, err := newMach()
-			if err != nil {
-				return 0, 0, err
-			}
-			loads := workload.StandardSuite()
-			cfgs := bench.Configurations(mach.Topo)
-			r, err := bench.RunSuiteParallel(mach, loads, cfgs, params, repeats, workers)
-			if err != nil {
-				return 0, 0, err
-			}
-			cells := len(r.Rows) * (3 + len(bench.BestOtherPolicies()))
-			return cells, r.Ops, nil
-		}},
-		{"perthread", func(workers int) (int, uint64, error) {
-			mach, err := newMach()
-			if err != nil {
-				return 0, 0, err
-			}
-			cfg, err := bench.ConfigByName(mach.Topo, "16_threads_4_nodes")
-			if err != nil {
-				return 0, 0, err
-			}
-			pols := []policy.Policy{policy.Buddy, policy.BPM, policy.MEMLLC}
-			r, err := bench.RunPerThread(mach, lbm, cfg, pols, params, workers)
-			if err != nil {
-				return 0, 0, err
-			}
-			return len(r.Policies), r.Ops, nil
-		}},
-		{"detail", func(workers int) (int, uint64, error) {
-			mach, err := newMach()
-			if err != nil {
-				return 0, 0, err
-			}
-			cfg, err := bench.ConfigByName(mach.Topo, "16_threads_4_nodes")
-			if err != nil {
-				return 0, 0, err
-			}
-			r, err := bench.RunDetail(mach, lbm, cfg, params, repeats, workers)
-			if err != nil {
-				return 0, 0, err
-			}
-			var ops uint64
-			for _, row := range r.Rows {
-				ops += row.Cell.Ops
-			}
-			return len(r.Rows), ops, nil
-		}},
+			return len(r.Cells), r.Ops, nil
+		}})
+	}
+	return append(exps, []perfExperiment{
 		{"adaptive", func(workers int) (int, uint64, error) {
 			// Sequential by design (the engine re-decides policies at
 			// phase barriers, so cells cannot fan out); workers is
@@ -159,7 +115,7 @@ func benchExperiments(memBytes uint64, params workload.Params, repeats int) ([]p
 			}
 			return 2 * len(r.Points), r.Ops, nil
 		}},
-	}, nil
+	}...), nil
 }
 
 func mean(v []float64) float64 {

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"github.com/tintmalloc/tintmalloc/internal/clock"
-
 	"github.com/tintmalloc/tintmalloc/internal/policy"
+	"github.com/tintmalloc/tintmalloc/internal/stats"
 	"github.com/tintmalloc/tintmalloc/internal/topology"
 	"github.com/tintmalloc/tintmalloc/internal/workload"
 )
@@ -131,47 +131,6 @@ func TestLatencyIncreasesWithHops(t *testing.T) {
 	}
 }
 
-// TestPaperShapeFig10 asserts the synthetic benchmark ordering of
-// Fig. 10: every coloring beats buddy, and MEM+LLC is fastest.
-func TestPaperShapeFig10(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shape test skipped in -short mode")
-	}
-	mach := testMachine(t)
-	r, err := RunFig10(mach, cfg16(t, mach), workload.Params{Seed: 1, Scale: shapeScale}, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(p policy.Policy) float64 {
-		for i, q := range r.Policies {
-			if q == p {
-				return r.Cells[i].Runtime.Mean
-			}
-		}
-		t.Fatalf("policy %v missing", p)
-		return 0
-	}
-	buddy := get(policy.Buddy)
-	memllc := get(policy.MEMLLC)
-	if !(memllc < buddy) {
-		t.Errorf("MEM+LLC (%.0f) not faster than buddy (%.0f)", memllc, buddy)
-	}
-	if !(get(policy.LLCOnly) < buddy) {
-		t.Errorf("LLC coloring did not beat buddy")
-	}
-	if !(get(policy.MEMOnly) < buddy) {
-		t.Errorf("MEM coloring did not beat buddy")
-	}
-	if !(memllc <= get(policy.LLCOnly) && memllc <= get(policy.MEMOnly)) {
-		t.Errorf("MEM+LLC not the fastest policy")
-	}
-	var sb strings.Builder
-	r.WriteTable(&sb)
-	if !strings.Contains(sb.String(), "MEM+LLC") {
-		t.Error("WriteTable missing MEM+LLC row")
-	}
-}
-
 // TestPaperShapeLBM asserts the paper's headline cell (lbm at
 // 16 threads / 4 nodes): MEM+LLC < buddy < BPM for runtime, idle
 // reduced, per-thread balance improved.
@@ -276,58 +235,6 @@ func TestRunRepeatedSummaries(t *testing.T) {
 	}
 }
 
-func TestSuiteRowLookupAndTables(t *testing.T) {
-	mach := testMachine(t)
-	cfg, err := ConfigByName(mach.Topo, "4_threads_4_nodes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunSuite(mach, []workload.Workload{workload.Synthetic()},
-		[]Config{cfg}, workload.Params{Seed: 1, Scale: 0.1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row, ok := res.Row("synthetic", "4_threads_4_nodes")
-	if !ok {
-		t.Fatal("Row lookup failed")
-	}
-	if row.NormRuntime(row.Buddy) != 1.0 {
-		t.Errorf("buddy normalizes to %.3f, want 1", row.NormRuntime(row.Buddy))
-	}
-	if _, ok := res.Row("nope", "x"); ok {
-		t.Error("Row found nonexistent cell")
-	}
-	var sb strings.Builder
-	res.WriteRuntimeTable(&sb)
-	res.WriteIdleTable(&sb)
-	out := sb.String()
-	if !strings.Contains(out, "synthetic") || !strings.Contains(out, "Fig. 12") {
-		t.Error("tables incomplete")
-	}
-}
-
-func TestPerThreadResultShape(t *testing.T) {
-	mach := testMachine(t)
-	cfg, err := ConfigByName(mach.Topo, "4_threads_4_nodes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := RunPerThread(mach, workload.Synthetic(), cfg,
-		[]policy.Policy{policy.Buddy, policy.MEMLLC},
-		workload.Params{Seed: 1, Scale: 0.1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Runtime) != 2 || len(r.Runtime[0]) != 4 {
-		t.Fatalf("per-thread matrix shape wrong: %dx%d", len(r.Runtime), len(r.Runtime[0]))
-	}
-	var sb strings.Builder
-	r.WriteTables(&sb)
-	if !strings.Contains(sb.String(), "Fig. 14") {
-		t.Error("WriteTables missing Fig. 14")
-	}
-}
-
 func TestSpreadAndMaxOf(t *testing.T) {
 	if Spread(nil) != 0 || MaxOf(nil) != 0 {
 		t.Error("empty vectors")
@@ -338,122 +245,91 @@ func TestSpreadAndMaxOf(t *testing.T) {
 	}
 }
 
-func TestDetailCoversAllPolicies(t *testing.T) {
-	mach := testMachine(t)
-	cfg, err := ConfigByName(mach.Topo, "4_threads_4_nodes")
-	if err != nil {
-		t.Fatal(err)
+// fakeCell fabricates a cell for the view constructors' tests: no
+// simulation, just a spec and one runtime/idle sample.
+func fakeCell(wl, cfg string, p policy.Policy, runtime, idle float64) Cell {
+	return Cell{
+		Spec:    RunSpec{Workload: workload.Workload{Name: wl}, Config: Config{Name: cfg}, Policy: p},
+		Runtime: stats.Summarize([]float64{runtime}),
+		Idle:    stats.Summarize([]float64{idle}),
+		Ops:     1,
 	}
-	r, err := RunDetail(mach, workload.Synthetic(), cfg, workload.Params{Seed: 1, Scale: 0.1}, 1, 1)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// NewSuiteResult must start a row at each new (config, workload) of
+// the canonical cell order and fold the "other best" bar in that
+// order, ties going to the earlier policy.
+func TestNewSuiteResult(t *testing.T) {
+	others := []policy.Policy{policy.MEMOnly, policy.LLCOnly, policy.MEMLLCPart, policy.LLCMEMPart}
+	type rowWant struct {
+		cfg, wl   string
+		otherRT   []float64 // runtimes of others, in order
+		wantOther policy.Policy
 	}
-	if len(r.Rows) != len(policy.All()) {
-		t.Errorf("detail rows = %d, want %d", len(r.Rows), len(policy.All()))
+	rows := []rowWant{
+		{"4_threads_1_nodes", "lbm", []float64{90, 80, 70, 60}, policy.LLCMEMPart},
+		{"4_threads_1_nodes", "art", []float64{50, 80, 70, 60}, policy.MEMOnly},
+		{"4_threads_4_nodes", "lbm", []float64{90, 40, 40, 60}, policy.LLCOnly},
+		{"4_threads_4_nodes", "art", []float64{90, 80, 30, 60}, policy.MEMLLCPart},
 	}
-	var sb strings.Builder
-	r.WriteTable(&sb)
-	for _, p := range policy.All() {
-		if !strings.Contains(sb.String(), p.String()) {
-			t.Errorf("detail table missing %s", p)
+	var cells []Cell
+	for _, r := range rows {
+		cells = append(cells,
+			fakeCell(r.wl, r.cfg, policy.Buddy, 100, 10),
+			fakeCell(r.wl, r.cfg, policy.BPM, 120, 12),
+			fakeCell(r.wl, r.cfg, policy.MEMLLC, 70, 5))
+		for i, p := range others {
+			cells = append(cells, fakeCell(r.wl, r.cfg, p, r.otherRT[i], 1))
+		}
+	}
+	s := NewSuiteResult(cells)
+	if s.Ops != uint64(len(cells)) {
+		t.Errorf("Ops = %d, want %d", s.Ops, len(cells))
+	}
+	if len(s.Rows) != len(rows) {
+		t.Fatalf("%d rows, want %d", len(s.Rows), len(rows))
+	}
+	for i, want := range rows {
+		got := s.Rows[i]
+		if got.Config != want.cfg || got.Workload != want.wl {
+			t.Errorf("row %d is %s/%s, want %s/%s", i, got.Config, got.Workload, want.cfg, want.wl)
+		}
+		if got.Buddy.Runtime.Mean != 100 || got.BPM.Runtime.Mean != 120 || got.MEMLLC.Runtime.Mean != 70 {
+			t.Errorf("row %d fixed bars misplaced: %+v", i, got)
+		}
+		if got.OtherPolicy != want.wantOther || got.Other.Spec.Policy != want.wantOther {
+			t.Errorf("row %d other = %s, want %s", i, got.OtherPolicy, want.wantOther)
+		}
+		if n := got.NormRuntime(got.MEMLLC); n != 0.7 {
+			t.Errorf("row %d MEM+LLC normalizes to %v, want 0.7", i, n)
 		}
 	}
 }
 
-func TestCSVExports(t *testing.T) {
-	mach := testMachine(t)
-	cfg, err := ConfigByName(mach.Topo, "4_threads_4_nodes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := workload.Params{Seed: 1, Scale: 0.1}
-
-	lat, err := RunLatency(mach, 0, 64, 1)
-	if err != nil {
-		t.Fatal(err)
+func TestChartsRender(t *testing.T) {
+	var cells []Cell
+	for i, p := range []policy.Policy{policy.Buddy, policy.BPM, policy.MEMLLC, policy.MEMOnly} {
+		cells = append(cells, fakeCell("synthetic", "4_threads_4_nodes", p, float64(100-10*i), 10))
 	}
 	var sb strings.Builder
-	if err := lat.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
+	NewFig10Result(cells).WriteChart(&sb)
+	if !strings.Contains(sb.String(), "█") {
+		t.Error("fig10 chart drew no bars")
 	}
-	if lines := strings.Count(sb.String(), "\n"); lines != 5 {
-		t.Errorf("latency CSV has %d lines, want 5 (header+4 nodes)", lines)
-	}
-
-	f10, err := RunFig10(mach, cfg, params, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	suite := NewSuiteResult(cells)
 	sb.Reset()
-	if err := f10.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
+	suite.WriteRuntimeChart(&sb)
+	suite.WriteIdleChart(&sb)
+	out := sb.String()
+	if !strings.Contains(out, "Fig. 11") || !strings.Contains(out, "Fig. 12") {
+		t.Error("suite charts incomplete")
 	}
-	if !strings.Contains(sb.String(), "MEM+LLC") {
-		t.Error("fig10 CSV missing policy rows")
+	// Extreme values clip with a marker instead of overflowing.
+	if got := bar(1000); !strings.HasSuffix(got, "▶") {
+		t.Errorf("oversized bar not clipped: %q", got)
 	}
-
-	suite, err := RunSuite(mach, []workload.Workload{workload.Synthetic()}, []Config{cfg}, params, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb.Reset()
-	if err := suite.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	// header + 4 bars (buddy/BPM/MEM+LLC/other) per row.
-	if lines := strings.Count(sb.String(), "\n"); lines != 5 {
-		t.Errorf("suite CSV has %d lines, want 5", lines)
-	}
-	if !strings.Contains(sb.String(), "runtime_norm") {
-		t.Error("suite CSV missing normalized column")
-	}
-
-	pt, err := RunPerThread(mach, workload.Synthetic(), cfg,
-		[]policy.Policy{policy.Buddy}, params, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb.Reset()
-	if err := pt.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(sb.String(), "\n"); lines != 5 {
-		t.Errorf("per-thread CSV has %d lines, want 5 (header+4 threads)", lines)
-	}
-
-	det, err := RunDetail(mach, workload.Synthetic(), cfg, params, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb.Reset()
-	if err := det.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(sb.String(), "\n"); lines != 8 {
-		t.Errorf("detail CSV has %d lines, want 8 (header+7 policies)", lines)
-	}
-}
-
-func TestParallelSuiteMatchesSequential(t *testing.T) {
-	mach := testMachine(t)
-	cfg, err := ConfigByName(mach.Topo, "4_threads_4_nodes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := workload.Params{Seed: 1, Scale: 0.1}
-	seq, err := RunSuiteParallel(mach, []workload.Workload{workload.Synthetic()}, []Config{cfg}, params, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunSuiteParallel(mach, []workload.Workload{workload.Synthetic()}, []Config{cfg}, params, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := seq.Rows[0], par.Rows[0]
-	if a.Buddy.Runtime != b.Buddy.Runtime || a.MEMLLC.Runtime != b.MEMLLC.Runtime ||
-		a.BPM.Runtime != b.BPM.Runtime || a.Other.Runtime != b.Other.Runtime ||
-		a.OtherPolicy != b.OtherPolicy {
-		t.Errorf("parallel suite diverged from sequential:\nseq %+v\npar %+v", a, b)
+	if bar(-1) != "" {
+		t.Errorf("negative bar rendered: %q", bar(-1))
 	}
 }
 
@@ -488,42 +364,6 @@ func TestRunSweep(t *testing.T) {
 	if _, err := RunSweep(SweepLLCWays, []float64{0}, workload.Synthetic(),
 		"4_threads_4_nodes", workload.Params{Seed: 1, Scale: 0.1}, 1, 1<<30, 1); err == nil {
 		t.Error("RunSweep accepted 0 LLC ways")
-	}
-}
-
-func TestChartsRender(t *testing.T) {
-	mach := testMachine(t)
-	cfg, err := ConfigByName(mach.Topo, "4_threads_4_nodes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := workload.Params{Seed: 1, Scale: 0.1}
-	f10, err := RunFig10(mach, cfg, params, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	f10.WriteChart(&sb)
-	if !strings.Contains(sb.String(), "█") {
-		t.Error("fig10 chart drew no bars")
-	}
-	suite, err := RunSuite(mach, []workload.Workload{workload.Synthetic()}, []Config{cfg}, params, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb.Reset()
-	suite.WriteRuntimeChart(&sb)
-	suite.WriteIdleChart(&sb)
-	out := sb.String()
-	if !strings.Contains(out, "Fig. 11") || !strings.Contains(out, "Fig. 12") {
-		t.Error("suite charts incomplete")
-	}
-	// Extreme values clip with a marker instead of overflowing.
-	if got := bar(1000); !strings.HasSuffix(got, "▶") {
-		t.Errorf("oversized bar not clipped: %q", got)
-	}
-	if bar(-1) != "" {
-		t.Errorf("negative bar rendered: %q", bar(-1))
 	}
 }
 

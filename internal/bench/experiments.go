@@ -3,19 +3,11 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"github.com/tintmalloc/tintmalloc/internal/clock"
 	"github.com/tintmalloc/tintmalloc/internal/policy"
 	"github.com/tintmalloc/tintmalloc/internal/stats"
-	"github.com/tintmalloc/tintmalloc/internal/workload"
 )
-
-// Fig10Policies are the coloring schemes the synthetic benchmark
-// compares (paper Fig. 10).
-func Fig10Policies() []policy.Policy {
-	return []policy.Policy{policy.Buddy, policy.LLCOnly, policy.MEMOnly, policy.MEMLLC}
-}
 
 // Fig10Result holds the synthetic benchmark sweep.
 type Fig10Result struct {
@@ -24,19 +16,15 @@ type Fig10Result struct {
 	Cells    []Cell // parallel to Policies
 }
 
-// RunFig10 executes the synthetic benchmark under each policy, up to
-// `workers` cells concurrently (results are identical at any value).
-func RunFig10(mach *Machine, cfg Config, params workload.Params, repeats, workers int) (*Fig10Result, error) {
-	res := &Fig10Result{Config: cfg, Policies: Fig10Policies()}
-	cells, err := Gather(len(res.Policies), workers, func(i int) (Cell, error) {
-		return RunRepeated(mach, RunSpec{Workload: workload.Synthetic(), Config: cfg,
-			Policy: res.Policies[i], Params: params}, repeats)
-	})
-	if err != nil {
-		return nil, err
+// NewFig10Result views one configuration's cells, one per policy, as
+// Fig. 10.
+func NewFig10Result(cells []Cell) *Fig10Result {
+	r := &Fig10Result{Cells: cells}
+	for _, c := range cells {
+		r.Config = c.Spec.Config
+		r.Policies = append(r.Policies, c.Spec.Policy)
 	}
-	res.Cells = cells
-	return res, nil
+	return r
 }
 
 // WriteTable prints Fig. 10 as text: execution time per policy, plus
@@ -56,18 +44,13 @@ func (r *Fig10Result) WriteTable(w io.Writer) {
 	}
 }
 
-// BestOtherPolicies are the schemes pooled into the paper's "other
-// best coloring solution" bars of Figs. 11-14.
-func BestOtherPolicies() []policy.Policy {
-	return []policy.Policy{policy.MEMOnly, policy.LLCOnly, policy.MEMLLCPart, policy.LLCMEMPart}
-}
-
 // SuiteRow is one (workload, configuration) row of Figs. 11 and 12.
 type SuiteRow struct {
 	Workload string
 	Config   string
-	// Buddy, BPM, MEMLLC are the three fixed bars; Other is the
-	// best (lowest mean runtime) of BestOtherPolicies.
+	// Buddy, BPM, MEMLLC are the three fixed bars; Other is the paper's
+	// "other best coloring solution": the lowest mean runtime of the
+	// row's remaining policies.
 	Buddy, BPM, MEMLLC, Other Cell
 	OtherPolicy               policy.Policy
 }
@@ -91,72 +74,35 @@ type SuiteResult struct {
 	Ops uint64
 }
 
-// RunSuite executes the benchmark suite across the given
-// configurations, producing the data behind Figs. 11 (runtime) and
-// 12 (idle time).
-func RunSuite(mach *Machine, loads []workload.Workload, cfgs []Config,
-	params workload.Params, repeats int) (*SuiteResult, error) {
-	return RunSuiteParallel(mach, loads, cfgs, params, repeats, 1)
-}
-
-// RunSuiteParallel is RunSuite with up to `workers` cells simulated
-// concurrently through the shared scatter/gather runner. Every cell
-// builds fully independent machine state, and the aged-zone prototype
-// cache is mutex-guarded, so parallel execution produces bit-identical
-// results to sequential execution — it only uses more host cores.
-func RunSuiteParallel(mach *Machine, loads []workload.Workload, cfgs []Config,
-	params workload.Params, repeats, workers int) (*SuiteResult, error) {
-	type cellJob struct {
-		row, slot int // slot: 0 buddy, 1 BPM, 2 MEMLLC, 3.. others
-		spec      RunSpec
-	}
-	others := BestOtherPolicies()
-	var jobs []cellJob
-	out := &SuiteResult{}
-	for _, cfg := range cfgs {
-		for _, wl := range loads {
-			r := len(out.Rows)
-			out.Rows = append(out.Rows, SuiteRow{Workload: wl.Name, Config: cfg.Name})
-			fixed := []policy.Policy{policy.Buddy, policy.BPM, policy.MEMLLC}
-			for slot, p := range append(fixed, others...) {
-				jobs = append(jobs, cellJob{row: r, slot: slot,
-					spec: RunSpec{Workload: wl, Config: cfg, Policy: p, Params: params}})
-			}
+// NewSuiteResult folds cells in the suite runner's canonical order
+// (configuration-major, then workload, then policy) into the Figs.
+// 11/12 rows, one per run of cells sharing a (configuration,
+// workload). The "other best" bar is a fold in that order with ties
+// kept by the earlier policy, so it never depends on which cell
+// finished first.
+func NewSuiteResult(cells []Cell) *SuiteResult {
+	s := &SuiteResult{}
+	for _, c := range cells {
+		s.Ops += c.Ops
+		wl, cfg := c.Spec.Workload.Name, c.Spec.Config.Name
+		if n := len(s.Rows); n == 0 || s.Rows[n-1].Workload != wl || s.Rows[n-1].Config != cfg {
+			s.Rows = append(s.Rows, SuiteRow{Workload: wl, Config: cfg})
 		}
-	}
-
-	cells, err := Gather(len(jobs), workers, func(i int) (Cell, error) {
-		c, err := RunRepeated(mach, jobs[i].spec, repeats)
-		if err != nil {
-			return c, fmt.Errorf("bench: cell %s/%s/%s: %w",
-				jobs[i].spec.Workload.Name, jobs[i].spec.Config.Name, jobs[i].spec.Policy, err)
-		}
-		return c, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Merge in canonical (index) order: the "other best" winner is a
-	// pure fold over the fixed slot order, so it cannot depend on
-	// which goroutine finished first.
-	for i, j := range jobs {
-		out.Ops += cells[i].Ops
-		row := &out.Rows[j.row]
-		switch j.slot {
-		case 0:
-			row.Buddy = cells[i]
-		case 1:
-			row.BPM = cells[i]
-		case 2:
-			row.MEMLLC = cells[i]
+		row := &s.Rows[len(s.Rows)-1]
+		switch p := c.Spec.Policy; p {
+		case policy.Buddy:
+			row.Buddy = c
+		case policy.BPM:
+			row.BPM = c
+		case policy.MEMLLC:
+			row.MEMLLC = c
 		default:
-			p := others[j.slot-3]
-			if j.slot == 3 || cells[i].Runtime.Mean < row.Other.Runtime.Mean {
-				row.Other, row.OtherPolicy = cells[i], p
+			if row.Other.Runtime.N == 0 || c.Runtime.Mean < row.Other.Runtime.Mean {
+				row.Other, row.OtherPolicy = c, p
 			}
 		}
 	}
-	return out, nil
+	return s
 }
 
 // Row finds a row by workload and configuration name.
@@ -209,25 +155,21 @@ type PerThreadResult struct {
 	Ops uint64
 }
 
-// RunPerThread executes one workload/config under the given policies
-// — up to `workers` concurrently — and records per-thread vectors
-// (single run; the paper's per-thread figures are representative
-// runs).
-func RunPerThread(mach *Machine, wl workload.Workload, cfg Config,
-	policies []policy.Policy, params workload.Params, workers int) (*PerThreadResult, error) {
-	out := &PerThreadResult{Workload: wl.Name, Config: cfg, Policies: policies}
-	ms, err := Gather(len(policies), workers, func(i int) (RunMetrics, error) {
-		return Run(mach, RunSpec{Workload: wl, Config: cfg, Policy: policies[i], Params: params})
-	})
-	if err != nil {
-		return nil, err
+// NewPerThreadResult views one workload/config's cells, one per
+// policy, as Figs. 13 and 14. The vectors are each cell's last
+// repetition: the paper's per-thread figures are single
+// representative runs, so the registry entry behind them pins
+// repeats = 1.
+func NewPerThreadResult(cells []Cell) *PerThreadResult {
+	r := &PerThreadResult{}
+	for _, c := range cells {
+		r.Workload, r.Config = c.Spec.Workload.Name, c.Spec.Config
+		r.Policies = append(r.Policies, c.Spec.Policy)
+		r.Runtime = append(r.Runtime, c.Last.ThreadRuntime)
+		r.Idle = append(r.Idle, c.Last.ThreadIdle)
+		r.Ops += c.Ops
 	}
-	for _, m := range ms {
-		out.Runtime = append(out.Runtime, m.ThreadRuntime)
-		out.Idle = append(out.Idle, m.ThreadIdle)
-		out.Ops += m.Ops
-	}
-	return out, nil
+	return r
 }
 
 // Spread returns (max-min)/... for a per-thread vector: the paper's
@@ -282,15 +224,6 @@ func (r *PerThreadResult) writeVec(w io.Writer, vecs [][]clock.Dur) {
 	}
 }
 
-// SortPoliciesForDisplay orders policies as in the paper's legends.
-func SortPoliciesForDisplay(ps []policy.Policy) {
-	order := map[policy.Policy]int{
-		policy.Buddy: 0, policy.BPM: 1, policy.MEMLLC: 2,
-		policy.MEMOnly: 3, policy.LLCOnly: 4, policy.MEMLLCPart: 5, policy.LLCMEMPart: 6,
-	}
-	sort.Slice(ps, func(i, j int) bool { return order[ps[i]] < order[ps[j]] })
-}
-
 // DetailRow is one policy's full diagnostics for a workload/config.
 type DetailRow struct {
 	Policy policy.Policy
@@ -305,22 +238,15 @@ type DetailResult struct {
 	Rows     []DetailRow
 }
 
-// RunDetail executes one workload/config under every policy, up to
-// `workers` cells concurrently.
-func RunDetail(mach *Machine, wl workload.Workload, cfg Config,
-	params workload.Params, repeats, workers int) (*DetailResult, error) {
-	out := &DetailResult{Workload: wl.Name, Config: cfg}
-	pols := policy.All()
-	cells, err := Gather(len(pols), workers, func(i int) (Cell, error) {
-		return RunRepeated(mach, RunSpec{Workload: wl, Config: cfg, Policy: pols[i], Params: params}, repeats)
-	})
-	if err != nil {
-		return nil, err
+// NewDetailResult views one workload/config's cells, one per policy,
+// as the policy detail table.
+func NewDetailResult(cells []Cell) *DetailResult {
+	d := &DetailResult{}
+	for _, c := range cells {
+		d.Workload, d.Config = c.Spec.Workload.Name, c.Spec.Config
+		d.Rows = append(d.Rows, DetailRow{Policy: c.Spec.Policy, Cell: c})
 	}
-	for i, p := range pols {
-		out.Rows = append(out.Rows, DetailRow{Policy: p, Cell: cells[i]})
-	}
-	return out, nil
+	return d
 }
 
 // WriteTable prints the per-policy breakdown.

@@ -1,4 +1,4 @@
-package bench
+package bench_test
 
 import (
 	"bytes"
@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/tintmalloc/tintmalloc/internal/policy"
+	"github.com/tintmalloc/tintmalloc/internal/bench"
 	"github.com/tintmalloc/tintmalloc/internal/workload"
 )
 
@@ -19,7 +19,9 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 // accidental format change shows up as a reviewable diff, and —
 // because the fixtures are committed — any nondeterminism anywhere in
 // the simulator stack (scheduler, allocator iteration order, map
-// ranging in a writer) breaks the build on the spot. Regenerate
+// ranging in a writer) breaks the build on the spot. The figure
+// fixtures are produced the way tintbench produces the figures:
+// through suite.Run on the embedded registry's entries. Regenerate
 // intentionally with:
 //
 //	go test ./internal/bench -run TestGolden -update
@@ -45,11 +47,9 @@ func checkGolden(t *testing.T, name string, got string) {
 	}
 }
 
-func goldenParams() workload.Params { return workload.Params{Seed: 1, Scale: 0.1} }
-
 func TestGoldenLatency(t *testing.T) {
-	mach := testMachine(t)
-	r, err := RunLatency(mach, 0, 128, 2)
+	mach := newMachine(t)
+	r, err := bench.RunLatency(mach, 0, 128, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,15 +67,7 @@ func TestGoldenLatency(t *testing.T) {
 }
 
 func TestGoldenFig10(t *testing.T) {
-	mach := testMachine(t)
-	cfg, err := ConfigByName(mach.Topo, "4_threads_4_nodes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := RunFig10(mach, cfg, goldenParams(), 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := bench.NewFig10Result(runEntry(t, synthEntry(t, "fig10"), smallParams, 1, 2))
 	var sb strings.Builder
 	r.WriteTable(&sb)
 	sb.WriteString("\n")
@@ -90,16 +82,7 @@ func TestGoldenFig10(t *testing.T) {
 }
 
 func TestGoldenSuite(t *testing.T) {
-	mach := testMachine(t)
-	cfg, err := ConfigByName(mach.Topo, "4_threads_4_nodes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := RunSuiteParallel(mach, []workload.Workload{workload.Synthetic()},
-		[]Config{cfg}, goldenParams(), 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := bench.NewSuiteResult(runEntry(t, synthEntry(t, "paper"), smallParams, 1, 2))
 	var sb strings.Builder
 	r.WriteRuntimeTable(&sb)
 	sb.WriteString("\n")
@@ -111,17 +94,12 @@ func TestGoldenSuite(t *testing.T) {
 	checkGolden(t, "suite.golden", sb.String())
 }
 
+// The per-thread fixture is one run per policy: the perthread-lbm
+// entry's repeats = 1 must beat the 3 asked for here.
 func TestGoldenPerThread(t *testing.T) {
-	mach := testMachine(t)
-	cfg, err := ConfigByName(mach.Topo, "4_threads_4_nodes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := RunPerThread(mach, workload.Synthetic(), cfg,
-		[]policy.Policy{policy.Buddy, policy.MEMLLC}, goldenParams(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := synthEntry(t, "perthread-lbm")
+	s.Policies = []string{"buddy", "MEM+LLC"}
+	r := bench.NewPerThreadResult(runEntry(t, s, smallParams, 3, 2))
 	var sb strings.Builder
 	r.WriteTables(&sb)
 	sb.WriteString("\n")
@@ -132,8 +110,8 @@ func TestGoldenPerThread(t *testing.T) {
 }
 
 func TestGoldenSweep(t *testing.T) {
-	r, err := RunSweep(SweepHopCycles, []float64{0, 50}, workload.Synthetic(),
-		"4_threads_4_nodes", goldenParams(), 1, 1<<30, 2)
+	r, err := bench.RunSweep(bench.SweepHopCycles, []float64{0, 50}, workload.Synthetic(),
+		"4_threads_4_nodes", smallParams, 1, 1<<30, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +127,7 @@ func TestGoldenSweep(t *testing.T) {
 // The tintreport markdown renderer is pinned against a fabricated
 // report so the golden does not depend on a full validation run.
 func TestGoldenReportMarkdown(t *testing.T) {
-	rep := &ValidationReport{Results: []ClaimResult{
+	rep := &bench.ValidationReport{Results: []bench.ClaimResult{
 		{ID: "latency", Claim: "local is faster than remote",
 			Expected: "3-hop >= 1.3x local", Measured: "local 80.0, 3-hop 140.0 (1.75x)", Pass: true},
 		{ID: "fig10", Claim: "MEM/LLC coloring is shortest",

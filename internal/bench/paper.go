@@ -81,13 +81,17 @@ func RunPaperValidation(mach *Machine, params workload.Params, repeats, workers 
 	// Claim 2: synthetic benchmark — MEM, LLC and MEM/LLC coloring
 	// all reduce execution time, MEM/LLC the most.
 	progress("running Fig. 10 synthetic sweep...\n")
-	f10, err := RunFig10(mach, cfg16, params, repeats, workers)
+	f10 := []policy.Policy{policy.Buddy, policy.LLCOnly, policy.MEMOnly, policy.MEMLLC}
+	f10Cells, err := Gather(len(f10), workers, func(i int) (Cell, error) {
+		return RunRepeated(mach, RunSpec{Workload: workload.Synthetic(), Config: cfg16,
+			Policy: f10[i], Params: params}, repeats)
+	})
 	if err != nil {
 		return nil, err
 	}
 	runtimes := map[policy.Policy]float64{}
-	for i, p := range f10.Policies {
-		runtimes[p] = f10.Cells[i].Runtime.Mean
+	for i, p := range f10 {
+		runtimes[p] = f10Cells[i].Runtime.Mean
 	}
 	buddy := runtimes[policy.Buddy]
 	pass := runtimes[policy.LLCOnly] < buddy && runtimes[policy.MEMOnly] < buddy &&

@@ -1,11 +1,12 @@
-package bench
+package bench_test
 
 import (
 	"strings"
 	"testing"
 
+	"github.com/tintmalloc/tintmalloc/internal/bench"
 	"github.com/tintmalloc/tintmalloc/internal/fault"
-	"github.com/tintmalloc/tintmalloc/internal/policy"
+	"github.com/tintmalloc/tintmalloc/internal/suite"
 	"github.com/tintmalloc/tintmalloc/internal/workload"
 )
 
@@ -14,24 +15,35 @@ import (
 // byte-identical output whether its cells run sequentially or on
 // eight workers. The renders go through WriteJSON so the comparison
 // covers runtimes, idle, engine-op counts and the diagnostic
-// fractions of every cell, not just headline means. CI runs this
+// fractions of every cell, not just headline means. The figure
+// experiments run their registry entries through suite.Run, as
+// tintbench does. CI runs this
 // under -race, which additionally catches any unsynchronized sharing
 // between cells even when it happens not to change the output.
 func TestParallelExperimentsMatchSequential(t *testing.T) {
-	mach := testMachine(t)
-	cfg, err := ConfigByName(mach.Topo, "4_threads_4_nodes")
+	mach := newMachine(t)
+	cfg, err := bench.ConfigByName(mach.Topo, "4_threads_4_nodes")
 	if err != nil {
 		t.Fatal(err)
 	}
 	params := workload.Params{Seed: 1, Scale: 0.1}
 	wl := workload.Synthetic()
+	fig10, paper := synthEntry(t, "fig10"), synthEntry(t, "paper")
+	perthread, detail := synthEntry(t, "perthread-lbm"), synthEntry(t, "detail-lbm")
+	cells := func(s suite.Suite, repeats, workers int) ([]bench.Cell, error) {
+		r, err := suite.Run(mach, s, params, repeats, workers)
+		if err != nil {
+			return nil, err
+		}
+		return r.Cells, nil
+	}
 
 	experiments := []struct {
 		name   string
 		render func(workers int) (string, error)
 	}{
 		{"latency", func(workers int) (string, error) {
-			r, err := RunLatency(mach, 0, 128, workers)
+			r, err := bench.RunLatency(mach, 0, 128, workers)
 			if err != nil {
 				return "", err
 			}
@@ -41,10 +53,11 @@ func TestParallelExperimentsMatchSequential(t *testing.T) {
 			return sb.String(), err
 		}},
 		{"fig10", func(workers int) (string, error) {
-			r, err := RunFig10(mach, cfg, params, 2, workers)
+			c, err := cells(fig10, 2, workers)
 			if err != nil {
 				return "", err
 			}
+			r := bench.NewFig10Result(c)
 			var sb strings.Builder
 			r.WriteTable(&sb)
 			if err := r.WriteCSV(&sb); err != nil {
@@ -54,10 +67,11 @@ func TestParallelExperimentsMatchSequential(t *testing.T) {
 			return sb.String(), err
 		}},
 		{"suite", func(workers int) (string, error) {
-			r, err := RunSuiteParallel(mach, []workload.Workload{wl}, []Config{cfg}, params, 2, workers)
+			c, err := cells(paper, 2, workers)
 			if err != nil {
 				return "", err
 			}
+			r := bench.NewSuiteResult(c)
 			var sb strings.Builder
 			r.WriteRuntimeTable(&sb)
 			r.WriteIdleTable(&sb)
@@ -65,28 +79,29 @@ func TestParallelExperimentsMatchSequential(t *testing.T) {
 			return sb.String(), err
 		}},
 		{"perthread", func(workers int) (string, error) {
-			r, err := RunPerThread(mach, wl, cfg,
-				[]policy.Policy{policy.Buddy, policy.BPM, policy.MEMLLC}, params, workers)
+			c, err := cells(perthread, 1, workers)
 			if err != nil {
 				return "", err
 			}
+			r := bench.NewPerThreadResult(c)
 			var sb strings.Builder
 			r.WriteTables(&sb)
 			err = r.WriteJSON(&sb)
 			return sb.String(), err
 		}},
 		{"detail", func(workers int) (string, error) {
-			r, err := RunDetail(mach, wl, cfg, params, 2, workers)
+			c, err := cells(detail, 2, workers)
 			if err != nil {
 				return "", err
 			}
+			r := bench.NewDetailResult(c)
 			var sb strings.Builder
 			r.WriteTable(&sb)
 			err = r.WriteJSON(&sb)
 			return sb.String(), err
 		}},
 		{"chaos", func(workers int) (string, error) {
-			r, err := RunChaos(mach, cfg, "MEM+LLC", []workload.Workload{wl},
+			r, err := bench.RunChaos(mach, cfg, "MEM+LLC", []workload.Workload{wl},
 				fault.Plans(), params, workers)
 			if err != nil {
 				return "", err
@@ -100,7 +115,7 @@ func TestParallelExperimentsMatchSequential(t *testing.T) {
 			return sb.String(), err
 		}},
 		{"sweep", func(workers int) (string, error) {
-			r, err := RunSweep(SweepHopCycles, []float64{0, 50}, wl,
+			r, err := bench.RunSweep(bench.SweepHopCycles, []float64{0, 50}, wl,
 				"4_threads_4_nodes", params, 2, 1<<30, workers)
 			if err != nil {
 				return "", err
@@ -136,7 +151,7 @@ func TestParallelExperimentsMatchSequential(t *testing.T) {
 // counts the experiments rely on.
 func TestGather(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, 100} {
-		got, err := Gather(10, workers, func(i int) (int, error) { return i * i, nil })
+		got, err := bench.Gather(10, workers, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +162,7 @@ func TestGather(t *testing.T) {
 		}
 	}
 	// Lowest-index error wins regardless of completion order.
-	_, err := Gather(10, 4, func(i int) (int, error) {
+	_, err := bench.Gather(10, 4, func(i int) (int, error) {
 		if i == 7 || i == 3 {
 			return 0, errIndexed(i)
 		}
@@ -157,7 +172,7 @@ func TestGather(t *testing.T) {
 		t.Fatalf("Gather error = %v, want job 3", err)
 	}
 	// n == 0 is a no-op.
-	if out, err := Gather(0, 4, func(i int) (int, error) { return 0, errIndexed(i) }); err != nil || len(out) != 0 {
+	if out, err := bench.Gather(0, 4, func(i int) (int, error) { return 0, errIndexed(i) }); err != nil || len(out) != 0 {
 		t.Fatalf("Gather(0) = %v, %v", out, err)
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"os"
 )
 
-// defaultTOML is the embedded registry re-expressing every hard-coded
-// tintbench experiment as a declarative entry (ROADMAP item 2).
+// defaultTOML is the embedded registry: the paper's evaluation
+// matrices plus the ported shapes and the CI smoke suite.
 //
 //go:embed default.toml
 var defaultTOML []byte

@@ -43,11 +43,10 @@ func TestRadixReferenceSuiteDifferential(t *testing.T) {
 			t.Fatalf("workers=%d: %d cells, reference has %d", workers, len(got.Cells), len(want.Cells))
 		}
 		for i := range want.Cells {
-			g, w := got.Cells[i], want.Cells[i]
-			g.Cell, w.Cell = stripSpec(g.Cell), stripSpec(w.Cell)
+			g, w := stripSpec(got.Cells[i]), stripSpec(want.Cells[i])
 			if !reflect.DeepEqual(g, w) {
 				t.Errorf("workers=%d: cell %d (%s/%s/%s) diverged between radix and map reference:\n radix %+v\n map   %+v",
-					workers, i, w.Workload, w.Config, w.Policy, g, w)
+					workers, i, w.Spec.Workload.Name, w.Spec.Config.Name, w.Spec.Policy, g, w)
 			}
 		}
 	}

@@ -13,22 +13,15 @@ import (
 	"github.com/tintmalloc/tintmalloc/internal/workload"
 )
 
-// CellResult is one (workload, config, policy) cell of a suite run.
-type CellResult struct {
-	Workload string
-	Config   string
-	Policy   policy.Policy
-	Cell     bench.Cell
-}
-
 // Result holds a full suite run in canonical cell order:
-// configuration-major, then workload, then policy (the same
-// config-then-workload nesting as the hard-coded suite matrix).
+// configuration-major, then workload, then policy (the order
+// bench.NewSuiteResult folds into the Figs. 11/12 rows). Each cell
+// carries its Spec, which names its workload, config and policy.
 type Result struct {
 	Suite   string
 	Repeats int
 	Params  workload.Params
-	Cells   []CellResult
+	Cells   []bench.Cell
 	// Ops totals engine ops across every cell (perf accounting).
 	Ops uint64
 }
@@ -64,12 +57,7 @@ func Run(mach *bench.Machine, s Suite, base workload.Params, repeats, workers in
 		}
 		loads[i] = wl
 	}
-	type cellJob struct {
-		wl  workload.Workload
-		cfg bench.Config
-		pol policy.Policy
-	}
-	var jobs []cellJob
+	var specs []bench.RunSpec
 	for _, cname := range s.Configs {
 		cfg, err := bench.ConfigByName(mach.Topo, cname)
 		if err != nil {
@@ -81,18 +69,17 @@ func Run(mach *bench.Machine, s Suite, base workload.Params, repeats, workers in
 				if err != nil {
 					return nil, fieldErr(s.Name, "policies", "%v", err)
 				}
-				jobs = append(jobs, cellJob{wl: wl, cfg: cfg, pol: pol})
+				specs = append(specs, bench.RunSpec{Workload: wl, Config: cfg, Policy: pol, Params: params})
 			}
 		}
 	}
 
-	cells, err := bench.Gather(len(jobs), workers, func(i int) (bench.Cell, error) {
-		j := jobs[i]
-		c, err := bench.RunRepeated(mach, bench.RunSpec{
-			Workload: j.wl, Config: j.cfg, Policy: j.pol, Params: params}, reps)
+	cells, err := bench.Gather(len(specs), workers, func(i int) (bench.Cell, error) {
+		sp := specs[i]
+		c, err := bench.RunRepeated(mach, sp, reps)
 		if err != nil {
 			return c, fmt.Errorf("suite: %s: cell %s/%s/%s: %w",
-				s.Name, j.wl.Name, j.cfg.Name, j.pol, err)
+				s.Name, sp.Workload.Name, sp.Config.Name, sp.Policy, err)
 		}
 		return c, nil
 	})
@@ -100,23 +87,11 @@ func Run(mach *bench.Machine, s Suite, base workload.Params, repeats, workers in
 		return nil, err
 	}
 
-	out := &Result{Suite: s.Name, Repeats: reps, Params: params}
-	for i, j := range jobs {
-		out.Cells = append(out.Cells, CellResult{
-			Workload: j.wl.Name, Config: j.cfg.Name, Policy: j.pol, Cell: cells[i]})
-		out.Ops += cells[i].Ops
+	out := &Result{Suite: s.Name, Repeats: reps, Params: params, Cells: cells}
+	for _, c := range cells {
+		out.Ops += c.Ops
 	}
 	return out, nil
-}
-
-// Find returns the cell for a (workload, config, policy) triple.
-func (r *Result) Find(wl, cfg string, pol policy.Policy) (CellResult, bool) {
-	for _, c := range r.Cells {
-		if c.Workload == wl && c.Config == cfg && c.Policy == pol {
-			return c, true
-		}
-	}
-	return CellResult{}, false
 }
 
 // WriteTable prints the suite matrix with per-cell runtime and idle
@@ -129,14 +104,14 @@ func (r *Result) WriteTable(w io.Writer) {
 		"config", "workload", "policy", "runtime mean", "min", "max", "vs first")
 	base := map[string]float64{}
 	for _, c := range r.Cells {
-		key := c.Config + "\x00" + c.Workload
+		key := c.Spec.Config.Name + "\x00" + c.Spec.Workload.Name
 		if _, ok := base[key]; !ok {
-			base[key] = c.Cell.Runtime.Mean
+			base[key] = c.Runtime.Mean
 		}
 		fmt.Fprintf(w, "%-20s %-14s %-14s %13.0f %13.0f %13.0f %8.3f\n",
-			c.Config, c.Workload, c.Policy.String(),
-			c.Cell.Runtime.Mean, c.Cell.Runtime.Min, c.Cell.Runtime.Max,
-			stats.NormRatio(c.Cell.Runtime.Mean, base[key]))
+			c.Spec.Config.Name, c.Spec.Workload.Name, c.Spec.Policy.String(),
+			c.Runtime.Mean, c.Runtime.Min, c.Runtime.Max,
+			stats.NormRatio(c.Runtime.Mean, base[key]))
 	}
 }
 
@@ -173,8 +148,8 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	}{Suite: r.Suite, Repeats: r.Repeats, Scale: r.Params.Scale, Seed: r.Params.Seed, Ops: r.Ops}
 	for _, c := range r.Cells {
 		view.Cells = append(view.Cells, cellJSON{
-			Workload: c.Workload, Config: c.Config, Policy: c.Policy.String(),
-			Runtime: sum(c.Cell.Runtime), Idle: sum(c.Cell.Idle), Ops: c.Cell.Ops,
+			Workload: c.Spec.Workload.Name, Config: c.Spec.Config.Name, Policy: c.Spec.Policy.String(),
+			Runtime: sum(c.Runtime), Idle: sum(c.Idle), Ops: c.Ops,
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -192,10 +167,10 @@ func (r *Result) WriteCSV(w io.Writer) error {
 	}
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	for _, c := range r.Cells {
-		if err := cw.Write([]string{r.Suite, c.Config, c.Workload, c.Policy.String(),
-			f(c.Cell.Runtime.Mean), f(c.Cell.Runtime.Min), f(c.Cell.Runtime.Max),
-			f(c.Cell.Idle.Mean), f(c.Cell.Idle.Min), f(c.Cell.Idle.Max),
-			strconv.FormatUint(c.Cell.Ops, 10)}); err != nil {
+		if err := cw.Write([]string{r.Suite, c.Spec.Config.Name, c.Spec.Workload.Name, c.Spec.Policy.String(),
+			f(c.Runtime.Mean), f(c.Runtime.Min), f(c.Runtime.Max),
+			f(c.Idle.Mean), f(c.Idle.Min), f(c.Idle.Max),
+			strconv.FormatUint(c.Ops, 10)}); err != nil {
 			return err
 		}
 	}

@@ -3,13 +3,15 @@
 // parameterized driver instances), which thread-pinning
 // configurations, which coloring policies, how many repeats, at what
 // scale — loaded and validated at startup, so adding a scenario is a
-// config edit rather than new Go code (ROADMAP item 2, mirroring
+// config edit rather than new Go code (mirroring
 // golang.org/x/benchmarks/cmd/bent's suites.toml).
 //
-// The embedded default registry (default.toml) re-expresses every
-// pre-existing hard-coded tintbench experiment; the differential
-// tests in this package pin registry-driven runs byte-identical to
-// their hard-coded forms at any -parallel value.
+// Run is the only code that turns a workload × config × policy matrix
+// into cells. The embedded default registry (default.toml) defines
+// the paper's evaluation matrices: tintbench's Fig. 10–14 and detail
+// experiments run its fig10, paper, perthread-lbm and detail-lbm
+// entries, and the golden files under internal/bench/testdata pin
+// what they produce.
 package suite
 
 import (

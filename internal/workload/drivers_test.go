@@ -150,7 +150,4 @@ func TestDriversListed(t *testing.T) {
 			t.Errorf("Drivers() missing %q", want)
 		}
 	}
-	if len(PortedSuite()) != 4 {
-		t.Errorf("PortedSuite has %d entries", len(PortedSuite()))
-	}
 }

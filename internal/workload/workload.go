@@ -92,12 +92,6 @@ func StandardSuite() []Workload {
 	return []Workload{LBM(), Art(), Equake(), Bodytrack(), Freqmine(), Blackscholes()}
 }
 
-// PortedSuite returns the four golang.org/x/benchmarks shapes at
-// their default knobs.
-func PortedSuite() []Workload {
-	return []Workload{Garbage(GarbageSpec{}), GCLatency(GCLatencySpec{}), HTTP(HTTPSpec{}), JSON(JSONSpec{})}
-}
-
 // ByName looks a workload up by its registry name.
 func ByName(name string) (Workload, error) {
 	for _, w := range Registry() {
