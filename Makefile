@@ -148,6 +148,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=30s ./internal/bench
 	$(GO) test -fuzz=FuzzSuiteRegistry -fuzztime=30s ./internal/suite
+	$(GO) test -fuzz=FuzzEngineHeapOps -fuzztime=30s ./internal/engine
 
 # vet plus the repo's own determinism/correctness/concurrency
 # analyzers (cmd/tintvet); see CONTRIBUTING.md for the rules they

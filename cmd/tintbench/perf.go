@@ -252,15 +252,16 @@ func runBenchHarness(w io.Writer, outPath, parCSV string, memBytes uint64,
 
 	// Fold the previous report (if the output file holds one) in as
 	// the baseline, and report the suite before/after at the first
-	// -bench-parallel value — the engine-throughput regression gate.
-	// (benchfmt reads v1 and v2 baselines alike.)
+	// -bench-parallel value — the engine-throughput regression gate —
+	// when the two runs are comparable. (benchfmt reads v1 and v2
+	// baselines alike.)
 	if data, err := os.ReadFile(outPath); err == nil {
 		var prev benchfmt.Report
 		if json.Unmarshal(data, &prev) == nil && len(prev.Records) > 0 {
 			rep.Baseline = prev.Records
-			before := benchfmt.FindRecord(prev.Records, "suite", parVals[0])
-			after := benchfmt.FindRecord(rep.Records, "suite", parVals[0])
-			if before != nil && after != nil && before.OpsPerSec > 0 {
+			if before, after, why := comparableSuite(&prev, rep, parVals[0]); why != "" {
+				fmt.Fprintf(w, "no comparison with previous %s: %s\n", outPath, why)
+			} else {
 				rep.SpeedupVsBaseline = after.OpsPerSec / before.OpsPerSec
 				fmt.Fprintf(w, "vs previous %s: suite -parallel %d ops/sec %.0f -> %.0f (%.2fx)\n",
 					outPath, parVals[0], before.OpsPerSec, after.OpsPerSec, rep.SpeedupVsBaseline)
@@ -273,6 +274,32 @@ func runBenchHarness(w io.Writer, outPath, parCSV string, memBytes uint64,
 	}
 	fmt.Fprintf(w, "wrote %s\n", outPath)
 	return nil
+}
+
+// comparableSuite returns the suite records at -parallel workers of
+// the previous report and this run. A wall-clock ratio means something
+// only between runs of the same work on the same kind of host, so it
+// returns the reason instead when the reports differ in host CPUs,
+// scale or repeats, when either lacks the record, or when the two
+// records counted different engine ops.
+func comparableSuite(prev, cur *benchfmt.Report, workers int) (before, after *benchfmt.Record, why string) {
+	switch {
+	case prev.HostCPUs != cur.HostCPUs:
+		return nil, nil, fmt.Sprintf("it ran on %d host cpus, this run on %d", prev.HostCPUs, cur.HostCPUs)
+	case prev.Scale != cur.Scale:
+		return nil, nil, fmt.Sprintf("it ran at scale %g, this run at %g", prev.Scale, cur.Scale)
+	case prev.Repeats != cur.Repeats:
+		return nil, nil, fmt.Sprintf("it ran %d repeats, this run %d", prev.Repeats, cur.Repeats)
+	}
+	before = benchfmt.FindRecord(prev.Records, "suite", workers)
+	after = benchfmt.FindRecord(cur.Records, "suite", workers)
+	switch {
+	case before == nil || after == nil || before.OpsPerSec <= 0:
+		return nil, nil, fmt.Sprintf("no suite record at -parallel %d in both reports", workers)
+	case before.EngineOps != after.EngineOps:
+		return nil, nil, fmt.Sprintf("its suite counted %d engine ops, this run %d", before.EngineOps, after.EngineOps)
+	}
+	return before, after, ""
 }
 
 func parseInts(csv string) ([]int, error) {

@@ -3,12 +3,17 @@ package bench_test
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/tintmalloc/tintmalloc/internal/bench"
+	"github.com/tintmalloc/tintmalloc/internal/engine"
+	"github.com/tintmalloc/tintmalloc/internal/kernel"
+	"github.com/tintmalloc/tintmalloc/internal/policy"
+	"github.com/tintmalloc/tintmalloc/internal/suite"
 	"github.com/tintmalloc/tintmalloc/internal/workload"
 )
 
@@ -124,6 +129,78 @@ func TestGoldenSweep(t *testing.T) {
 	checkGolden(t, "sweep.golden", sb.String())
 }
 
+// TestGoldenChurn pins the workloads whose bodies allocate and free
+// heap blocks as they run: the ported entry (garbage, gc_latency,
+// http, json) and freqmine on a one-node and a two-node
+// configuration under buddy and MEM+LLC, plus a small heteromix run
+// under the adaptive engine (the -exp adaptive path). The figure
+// goldens run only the synthetic workload, so without this fixture a
+// change to when heap calls happen could move these cells unseen.
+// Each cell records its simulated runtime, idle, per-thread runtimes,
+// fault cycles, engine ops and the kernel's counters.
+func TestGoldenChurn(t *testing.T) {
+	s, err := suite.Default().ByName("ported")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := append(append([]suite.WorkloadSpec(nil), s.Workloads...), suite.WorkloadSpec{Driver: "freqmine"})
+	mach := newMachine(t)
+	var sb strings.Builder
+	for _, cname := range []string{"4_threads_1_nodes", "8_threads_2_nodes"} {
+		cfg, err := bench.ConfigByName(mach.Topo, cname)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ws := range specs {
+			wl, err := ws.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pol := range []policy.Policy{policy.Buddy, policy.MEMLLC} {
+				var k *kernel.Kernel
+				spec := bench.RunSpec{Workload: wl, Config: cfg, Policy: pol, Params: smallParams}
+				m, err := bench.RunInstrumented(mach, spec, func(kk *kernel.Kernel, _ *engine.Engine) { k = kk })
+				if err != nil {
+					t.Fatal(err)
+				}
+				writeChurnCell(&sb, cname+"/"+wl.Name+"/"+pol.String(), m, k.Stats())
+			}
+		}
+	}
+
+	amach, err := bench.NewAdaptiveMachine(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := bench.ConfigByName(amach.Topo, "4_threads_1_nodes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := bench.RunAdaptive(amach, bench.AdaptiveOptions{
+		Workload: workload.HeteroMix(workload.HeteroSpec{StreamBytes: 2 << 20, Epochs: 4}),
+		Config:   cfg, Params: smallParams,
+		Initial: policy.MEMOnly, Adaptive: true,
+		CompactBudget: bench.AdaptiveCompactBudget,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeChurnCell(&sb, cfg.Name+"/heteromix/"+row.Policy, row.Metrics, row.Kern)
+	fmt.Fprintf(&sb, "  audits %d loans %d repolicies %d compact %+v cost %d\n",
+		row.Audits, row.Loans, row.Repolicies, row.Compact, row.CompactCost)
+	for _, sw := range row.Switches {
+		fmt.Fprintf(&sb, "  switch %+v\n", sw)
+	}
+	checkGolden(t, "churn.golden", sb.String())
+}
+
+func writeChurnCell(sb *strings.Builder, name string, m bench.RunMetrics, ks kernel.Stats) {
+	fmt.Fprintf(sb, "%s\n  runtime %d idle %d fault_cycles %d ops %d\n",
+		name, m.Runtime, m.TotalIdle, m.FaultCycles, m.Ops)
+	fmt.Fprintf(sb, "  thread_runtime %v\n  thread_idle %v\n  kernel %+v\n",
+		m.ThreadRuntime, m.ThreadIdle, ks)
+}
+
 // The tintreport markdown renderer is pinned against a fabricated
 // report so the golden does not depend on a full validation run.
 func TestGoldenReportMarkdown(t *testing.T) {
@@ -152,7 +229,7 @@ func TestGoldenFixturesPresent(t *testing.T) {
 	}
 	for _, name := range []string{
 		"latency.golden", "fig10.golden", "suite.golden",
-		"perthread.golden", "sweep.golden", "report.golden",
+		"perthread.golden", "sweep.golden", "report.golden", "churn.golden",
 	} {
 		b, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {

@@ -11,9 +11,13 @@
 // accumulates idle[tid] += max(end) - end[tid].
 //
 // Thread bodies are ordinary Go functions written in range-over-func
-// style (Work); the engine pulls one operation at a time from the
+// style (Work). The engine pulls a body's ops in blocks, one
+// coroutine switch per block, and executes them one at a time on the
 // thread whose clock is earliest, so kernel and memory-system state
 // always mutate in virtual-time order and runs are deterministic.
+// Heap calls travel inside the op stream as slot ops (Malloc, Free,
+// Slot) and run at their thread's turn; Sync hands a body the turn
+// itself, for code that must touch state shared with other threads.
 package engine
 
 import (
@@ -29,16 +33,86 @@ import (
 )
 
 // Op is one step of a simulated thread: optional compute cycles
-// followed by at most one memory access.
+// followed by at most one memory access. Ref, when non-zero, makes
+// the op name a heap block by its per-thread slot instead of by
+// address (build it with Slot, Malloc, Free or Sync):
+//
+//   - Slot(k): an access like any other, to the block in slot k at
+//     offset VA. It resolves to the block's address at its turn, and
+//     the TraceEvent carries that address.
+//   - Malloc(k, size): allocate size bytes on the thread's heap and
+//     put the block in slot k.
+//   - Free(k): free the block in slot k and empty the slot.
+//   - Sync(): end the body's current block (see Work).
+//
+// Malloc, Free and Sync are not ops: they take no simulated time,
+// count in neither Result.Ops nor the op budget, and emit no trace
+// event. A heap call runs in the same turn as its thread's next
+// counted op, or in the thread's final turn if none follows, which is
+// where a direct Heap call placed between the same two yields would
+// run. Slots belong to a thread and survive across the phases of one
+// Engine. An access to an empty slot, a free of an empty slot and a
+// failed heap call each end Run with an error naming the thread.
+//
+// Op keeps at most four fields: Go's SSA backend keeps a struct in
+// registers only up to four fields, and the event loop copies an Op
+// per step (DESIGN.md Sec. 9).
 type Op struct {
 	Compute clock.Dur // compute cycles before the access
-	VA      uint64    // virtual address; 0 means compute-only
+	VA      uint64    // virtual address (0 means compute-only); slot offset or Malloc size
 	Write   bool
+	Ref     uint32 // slot op kind and slot; 0 for a plain op
 }
+
+// Slot-op encoding: the kind sits in Ref's top bits, the slot below.
+const (
+	refSlotBits        = 28
+	refSlotMask uint32 = 1<<refSlotBits - 1
+	refKindMask        = ^refSlotMask
+	refAt       uint32 = 1 << refSlotBits
+	refMalloc   uint32 = 2 << refSlotBits
+	refFree     uint32 = 3 << refSlotBits
+	refSync     uint32 = 4 << refSlotBits
+)
+
+// slotRef packs a slot op's Ref. A slot outside [0, 2^28) is a bug in
+// the body that names it.
+func slotRef(kind uint32, slot int) uint32 {
+	if slot < 0 || slot > int(refSlotMask) {
+		panic(fmt.Sprintf("engine: heap slot %d outside [0, %d]", slot, refSlotMask))
+	}
+	return kind | uint32(slot)
+}
+
+// Slot returns the Ref of an access to the block in heap slot k: the
+// op's VA is then the offset into the block.
+func Slot(k int) uint32 { return slotRef(refAt, k) }
+
+// Malloc returns the op that allocates size bytes on the thread's
+// heap into slot k. A block already in slot k is not freed; it just
+// loses its handle, as a pointer variable would.
+func Malloc(k int, size uint64) Op { return Op{VA: size, Ref: slotRef(refMalloc, k)} }
+
+// Free returns the op that frees the block in slot k.
+func Free(k int) Op { return Op{Ref: slotRef(refFree, k)} }
+
+// Sync returns the op that ends the body's current block: the body's
+// code after it runs at the thread's next turn (see Work).
+func Sync() Op { return Op{Ref: refSync} }
 
 // Work is a thread body: it yields Ops in program order. The yield
 // function returns false when the engine aborts the run; the body
 // must then return promptly.
+//
+// The engine pulls ops in blocks: a body runs ahead of the simulated
+// clock until it has yielded a block's worth of ops (or returns), and
+// the block then executes one op per turn. A body may therefore read
+// or write state shared with other threads, such as a heap, a
+// process mapping or a shared loop cursor, only before its first
+// yield or right after yielding Sync(): both run at the thread's own
+// turn, in virtual-time order. Everywhere else it must be pure. Heap
+// blocks are named by slot (Slot, Malloc, Free), so that the engine
+// makes the heap call at the op's turn.
 type Work func(yield func(Op) bool)
 
 // Thread couples a kernel task (whose pinned core issues the
@@ -64,24 +138,6 @@ type Phase struct {
 	Name   string
 	Work   []Work
 	NoWait bool
-	// Batched lets the engine pull ops from each body in blocks of
-	// opBatch per coroutine switch instead of one at a time. The
-	// scheduler still interleaves threads op-by-op in (time, id)
-	// order — only the body<->engine handoff is chunked — so results
-	// are unchanged PROVIDED the body is pure after its first yield:
-	// it must not read or write state shared with other bodies or
-	// phases between yields (first-yield-time effects such as mmaps
-	// are safe, since the first block is pulled exactly when the
-	// unbatched engine would have run the body for the first time).
-	// Bodies that mutate shared state mid-stream (e.g. a shared heap
-	// bump pointer) must leave this off.
-	Batched bool
-}
-
-// Batch marks the phase as safe for chunked op pulling (see Batched).
-func (p Phase) Batch() Phase {
-	p.Batched = true
-	return p
 }
 
 // NoWaitParallel builds a barrier-less parallel phase.
@@ -198,6 +254,8 @@ type Engine struct {
 	// release[i] is thread i's personal start time for the next
 	// phase (diverges from `now` after a NoWait phase).
 	release []clock.Time
+	// slots[i] holds thread i's heap slots (block VAs, 0 = empty).
+	slots [][]uint64
 }
 
 // SetTracer installs (or, with nil, removes) an access tracer.
@@ -278,7 +336,8 @@ func New(ms *mem.System, threads []Thread) (*Engine, error) {
 			return nil, fmt.Errorf("engine: thread %d has no task", i)
 		}
 	}
-	return &Engine{mem: ms, threads: threads, opBudget: defaultOpBudget}, nil
+	return &Engine{mem: ms, threads: threads, opBudget: defaultOpBudget,
+		slots: make([][]uint64, len(threads))}, nil
 }
 
 // Mem returns the engine's memory system.
@@ -290,26 +349,33 @@ func (e *Engine) Threads() []Thread { return e.threads }
 // Now returns the global virtual clock (the last barrier release).
 func (e *Engine) Now() clock.Time { return e.now }
 
-// opBatch is how many ops a Batched phase hands the engine per
-// coroutine switch. The body-side adapter (blockify) accumulates its
-// yields into a block and performs one real iter.Pull handoff per
-// full block, so the goroutine-switch cost is paid once per opBatch
-// ops instead of once per op.
+// opBatch is how many ops a body hands the engine per coroutine
+// switch. The body-side adapter (blockify) accumulates its yields into
+// a block and performs one real iter.Pull handoff per full block, so
+// the goroutine-switch cost is paid once per opBatch ops instead of
+// once per op.
 const opBatch = 1024
 
 // blockify adapts a per-op body into a per-block iterator: the body's
 // yields append to a reused buffer that is surfaced to the consumer
-// only when full (or at body exit). The consumer must finish with a
-// block before requesting the next one — iter.Pull's strict
-// alternation guarantees that, which is what makes reusing the buffer
+// when full, at a Sync, or at body exit. Sync is never buffered, and a
+// Sync with nothing buffered needs no handoff: the body is then
+// already running at its thread's turn. No block is ever empty; the
+// consumer reads an empty block as the end of the body. The consumer
+// must finish with a block before requesting the next one, which
+// iter.Pull's strict alternation guarantees, so reusing the buffer is
 // safe.
 func blockify(w Work) iter.Seq[[]Op] {
 	return func(yield func([]Op) bool) {
 		buf := make([]Op, 0, opBatch)
 		stopped := false
 		w(func(op Op) bool {
-			buf = append(buf, op)
-			if len(buf) < opBatch {
+			if op.Ref != refSync {
+				buf = append(buf, op)
+				if len(buf) < opBatch {
+					return true
+				}
+			} else if len(buf) == 0 {
 				return true
 			}
 			if !yield(buf) {
@@ -330,34 +396,97 @@ type runnerState struct {
 	id   int
 	time clock.Time
 	ops  uint64 // ops this thread executed in the current phase
-	next func() (Op, bool)
-	stop func()
-	// Block pulling (Batched phases only): nextBlock replaces next,
-	// and buf[bufPos:] holds the ops of the current block that have
-	// not executed yet.
+	// nextBlock pulls the body's next block; stop ends the body.
 	nextBlock func() ([]Op, bool)
-	buf       []Op
-	bufPos    int
+	stop      func()
+	// buf is the current block. buf[pos:ready] are plain ops whose
+	// slot references, if any, are resolved; stage refills that run
+	// when it is spent.
+	buf   []Op
+	pos   int
+	ready int
 }
 
-// nextOp returns the thread's next op, pulling the next block from
-// the body when batching is on and the current block is spent.
-func (r *runnerState) nextOp() (Op, bool) {
-	if r.bufPos < len(r.buf) {
-		op := r.buf[r.bufPos]
-		r.bufPos++
-		return op, true
+// stage runs the heap ops due at the thread's current turn and
+// prepares a non-empty run of plain ops for it, pulling blocks from
+// the body as needed. It reports false when the body has finished.
+//
+// It resolves slot accesses in place up to the next heap op, which
+// may change a slot only at a later turn. An access to an empty slot
+// stops the run, so its error surfaces at that access's own turn.
+func (e *Engine) stage(r *runnerState) (bool, error) {
+	for {
+		if r.pos == len(r.buf) {
+			buf, ok := r.nextBlock()
+			if !ok || len(buf) == 0 {
+				return false, nil
+			}
+			r.buf, r.pos = buf, 0
+		}
+		for ; r.pos < len(r.buf); r.pos++ {
+			op := r.buf[r.pos]
+			if kind := op.Ref & refKindMask; kind != refMalloc && kind != refFree {
+				break
+			}
+			if err := e.heapOp(r.id, op); err != nil {
+				return false, err
+			}
+		}
+		if r.pos == len(r.buf) {
+			continue
+		}
+		slots := e.slots[r.id]
+		end := r.pos
+		for ; end < len(r.buf); end++ {
+			op := &r.buf[end]
+			if op.Ref == 0 {
+				continue
+			}
+			k := int(op.Ref & refSlotMask)
+			if op.Ref&refKindMask != refAt || k >= len(slots) || slots[k] == 0 {
+				break
+			}
+			op.VA += slots[k]
+			op.Ref = 0
+		}
+		if end == r.pos {
+			if ref := r.buf[end].Ref; ref&refKindMask == refAt {
+				return false, fmt.Errorf("thread %d: access to empty heap slot %d", r.id, ref&refSlotMask)
+			}
+			return false, fmt.Errorf("thread %d: op with invalid Ref %#x", r.id, r.buf[end].Ref)
+		}
+		r.ready = end
+		return true, nil
 	}
-	if r.nextBlock == nil {
-		return r.next()
+}
+
+// heapOp makes the heap call of thread id's Malloc or Free op.
+func (e *Engine) heapOp(id int, op Op) error {
+	h := e.threads[id].Heap
+	if h == nil {
+		return fmt.Errorf("thread %d: heap slot op on a thread with no heap", id)
 	}
-	buf, ok := r.nextBlock()
-	if !ok || len(buf) == 0 {
-		return Op{}, false
+	slots, k := e.slots[id], int(op.Ref&refSlotMask)
+	if op.Ref&refKindMask == refMalloc {
+		va, err := h.Malloc(op.VA)
+		if err != nil {
+			return fmt.Errorf("thread %d: malloc of %d bytes into heap slot %d: %w", id, op.VA, k, err)
+		}
+		if k >= len(slots) {
+			slots = append(slots, make([]uint64, k+1-len(slots))...)
+			e.slots[id] = slots
+		}
+		slots[k] = va
+		return nil
 	}
-	r.buf = buf
-	r.bufPos = 1
-	return buf[0], true
+	if k >= len(slots) || slots[k] == 0 {
+		return fmt.Errorf("thread %d: free of empty heap slot %d", id, k)
+	}
+	if err := h.Free(slots[k]); err != nil {
+		return fmt.Errorf("thread %d: free of heap slot %d: %w", id, k, err)
+	}
+	slots[k] = 0
+	return nil
 }
 
 // Run executes the phases in order and returns the aggregated
@@ -436,11 +565,7 @@ func (e *Engine) runPhase(ph Phase, res *Result, barrier bool) (PhaseResult, err
 		}
 		participants++
 		r := &runnerState{id: i, time: e.release[i]}
-		if ph.Batched {
-			r.nextBlock, r.stop = iter.Pull(blockify(w))
-		} else {
-			r.next, r.stop = iter.Pull(iter.Seq[Op](w))
-		}
+		r.nextBlock, r.stop = iter.Pull(blockify(w))
 		live = append(live, r)
 	}
 	pr.Parallel = participants >= 2
@@ -462,13 +587,22 @@ func (e *Engine) runPhase(ph Phase, res *Result, barrier bool) (PhaseResult, err
 				r.id, e.opBudget)
 			break
 		}
-		op, ok := r.nextOp()
-		if !ok {
-			pr.ThreadEnd[r.id] = r.time
-			r.stop()
-			q.PopMin()
-			continue
+		if r.pos == r.ready {
+			ok, err := e.stage(r)
+			if err != nil {
+				runErr = err
+				pr.ThreadEnd[r.id] = r.time
+				break
+			}
+			if !ok {
+				pr.ThreadEnd[r.id] = r.time
+				r.stop()
+				q.PopMin()
+				continue
+			}
 		}
+		op := r.buf[r.pos]
+		r.pos++
 		res.Ops++
 		r.time += op.Compute
 		if op.VA != 0 {

@@ -22,8 +22,13 @@ type rig struct {
 
 func newRig(t *testing.T, cores []topology.CoreID) *rig {
 	t.Helper()
+	return newRigMem(t, cores, testMem)
+}
+
+func newRigMem(t *testing.T, cores []topology.CoreID, memBytes uint64) *rig {
+	t.Helper()
 	top := topology.Opteron6128()
-	m, err := phys.DefaultSeparable(testMem, top.Nodes())
+	m, err := phys.DefaultSeparable(memBytes, top.Nodes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,16 +214,17 @@ func TestPhaseArityMismatch(t *testing.T) {
 	}
 }
 
+// A body names its heap blocks by slot: the engine makes each heap
+// call at the body's turn and resolves each slot access to its block.
+// Heap ops are not ops and are not traced.
 func TestHeapDrivenWorkload(t *testing.T) {
 	r := newRig(t, []topology.CoreID{0})
 	th := r.e.Threads()[0]
+	var events []TraceEvent
+	r.e.SetTracer(func(e TraceEvent) { events = append(events, e) })
 	body := func(yield func(Op) bool) {
-		for i := 0; i < 64; i++ {
-			va, err := th.Heap.Malloc(256)
-			if err != nil {
-				return
-			}
-			if !yield(Op{VA: va, Write: true, Compute: 2}) {
+		for k := 0; k < 64; k++ {
+			if !yield(Malloc(k, 256)) || !yield(Op{Ref: Slot(k), VA: 8, Write: true, Compute: 2}) {
 				return
 			}
 		}
@@ -230,8 +236,18 @@ func TestHeapDrivenWorkload(t *testing.T) {
 	if res.Runtime == 0 {
 		t.Fatal("no time elapsed")
 	}
+	if res.Ops != 64 || len(events) != 64 {
+		t.Errorf("Ops = %d, traced %d, want 64 accesses and no heap ops", res.Ops, len(events))
+	}
 	if th.Heap.Stats().Mallocs != 64 {
 		t.Errorf("Mallocs = %d", th.Heap.Stats().Mallocs)
+	}
+	seen := map[uint64]bool{}
+	for i, ev := range events {
+		if size, ok := th.Heap.SizeOf(ev.VA - 8); !ok || size != 256 || seen[ev.VA] {
+			t.Fatalf("access %d at %#x is not 8 bytes into its own 256-byte block", i, ev.VA)
+		}
+		seen[ev.VA] = true
 	}
 	if r.k.Stats().Faults == 0 {
 		t.Error("no faults recorded for heap-driven workload")

@@ -158,12 +158,17 @@ func TestSchedulerMatchesLinearScanReference(t *testing.T) {
 		r.next++
 	}
 
-	// Engine run: record the order ops are pulled via the bodies.
+	// Engine run: record the order ops execute via the bodies. The
+	// record is shared state, so each one follows a Sync and runs at
+	// the thread's turn, right before its op.
 	var gotOrder [][2]int
 	bodies := make([]Work, threads)
 	for i := range bodies {
 		bodies[i] = func(yield func(Op) bool) {
 			for j, d := range durs[i] {
+				if !yield(Sync()) {
+					return
+				}
 				gotOrder = append(gotOrder, [2]int{i, j})
 				if !yield(Op{Compute: d}) {
 					return

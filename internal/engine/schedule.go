@@ -35,19 +35,23 @@ func StaticFor(n, nThreads int, body IterBody) []Work {
 
 // DynamicFor hands out chunks of `chunk` iterations from a shared
 // queue: whenever a thread finishes its chunk it takes the next one —
-// OpenMP schedule(dynamic, chunk). The shared cursor is mutated as
-// the engine pulls ops, which happens in virtual-time order, so the
-// earliest-available simulated thread really does win the next chunk,
-// exactly like the runtime work queue it models.
+// OpenMP schedule(dynamic, chunk). Each claim of the shared cursor
+// follows a Sync, so it runs at the claiming thread's turn, in
+// virtual-time order: the earliest-available simulated thread really
+// does win the next chunk, exactly like the runtime work queue it
+// models.
 func DynamicFor(n, chunk, nThreads int, body IterBody) []Work {
 	if chunk < 1 {
 		chunk = 1
 	}
-	next := 0 // shared cursor; engine serializes all pulls
+	next := 0 // shared cursor; claimed only at a thread's turn
 	bodies := make([]Work, nThreads)
 	for t := 0; t < nThreads; t++ {
 		bodies[t] = func(yield func(Op) bool) {
 			for {
+				if !yield(Sync()) {
+					return
+				}
 				lo := next
 				if lo >= n {
 					return

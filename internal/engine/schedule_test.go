@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/tintmalloc/tintmalloc/internal/clock"
@@ -78,6 +80,75 @@ func TestDynamicBeatsStaticOnImbalance(t *testing.T) {
 	}
 	if !(dynamic.TotalIdle < static.TotalIdle) {
 		t.Errorf("dynamic idle %d not below static %d", dynamic.TotalIdle, static.TotalIdle)
+	}
+}
+
+// DynamicFor's claims follow the (time, id) order: the thread that
+// is earliest when the previous chunk runs out claims the next one.
+// A greedy model of that rule, computed here from the iteration
+// costs alone, must reproduce the engine's iteration-to-thread map.
+func TestDynamicForMatchesGreedyModel(t *testing.T) {
+	for _, tc := range []struct{ n, chunk, threads int }{
+		{97, 3, 4}, {64, 1, 3}, {50, 7, 2}, {10, 4, 4},
+	} {
+		rng := rand.New(rand.NewSource(int64(tc.n*31 + tc.chunk)))
+		cost := make([]clock.Dur, tc.n)
+		for i := range cost {
+			// Small costs make equal clocks, so ties by id are
+			// exercised.
+			cost[i] = clock.Dur(1 + rng.Intn(4))
+		}
+
+		want := make([]int, tc.n)
+		clk := make([]clock.Time, tc.threads)
+		done := make([]bool, tc.threads)
+		for next, left := 0, tc.threads; left > 0; {
+			t0 := -1
+			for th := range clk {
+				if !done[th] && (t0 < 0 || clk[th] < clk[t0]) {
+					t0 = th
+				}
+			}
+			if next >= tc.n {
+				done[t0] = true
+				left--
+				continue
+			}
+			for i := next; i < min(next+tc.chunk, tc.n); i++ {
+				want[i] = t0
+				clk[t0] += cost[i]
+			}
+			next += tc.chunk
+		}
+
+		// Each op carries its iteration in VA (compute-only ops
+		// ignore it), and each thread's yield records the owner.
+		got := make([]int, tc.n)
+		bodies := DynamicFor(tc.n, tc.chunk, tc.threads, func(i int, yield func(Op) bool) bool {
+			return yield(Op{Compute: cost[i], VA: uint64(i)})
+		})
+		for th, w := range bodies {
+			bodies[th] = func(yield func(Op) bool) {
+				w(func(op Op) bool {
+					if op.Ref == 0 {
+						got[op.VA] = th
+						op.VA = 0
+					}
+					return yield(op)
+				})
+			}
+		}
+		cores := make([]topology.CoreID, tc.threads)
+		for i := range cores {
+			cores[i] = topology.CoreID(i)
+		}
+		if _, err := newRig(t, cores).e.Run([]Phase{Parallel("loop", bodies)}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("n=%d chunk=%d threads=%d: owners %v, greedy model %v",
+				tc.n, tc.chunk, tc.threads, got, want)
+		}
 	}
 }
 

@@ -13,7 +13,10 @@
 // 6128, yielding 32 colors).
 package phys
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Addr is a physical byte address.
 type Addr uint64
@@ -168,6 +171,13 @@ func NewMapping(c MappingConfig) (*Mapping, error) {
 // always exact; the location and bank-color tables are exact unless
 // some channel/rank/bank bit falls below the page shift (subPageBits),
 // in which case the hot-path accessors keep the bit-gather route.
+//
+// A select bit at or above PageShift is a frame-number bit, and one
+// below it reads 0 at a frame's base, so every field is the OR of
+// gathers over the bytes of the frame number. One 256-entry table per
+// byte holds those gathers, and the fill costs a few loads per frame
+// instead of two full decodes. The Gather* methods stay the
+// independent reference the tests and the auditor check against.
 func (m *Mapping) buildTables() {
 	for _, group := range [][]uint{m.channelBits, m.rankBits, m.bankBits} {
 		for _, b := range group {
@@ -187,17 +197,51 @@ func (m *Mapping) buildTables() {
 	}
 	m.bankTable = make([]int32, frames)
 	m.llcTable = make([]int16, frames)
-	for f := Frame(0); uint64(f) < frames; f++ {
-		a := f.Base()
-		if m.locTable != nil {
-			l := m.GatherDecode(a)
-			m.locTable[f] = uint32(l.Bank)<<locBankShift |
-				uint32(l.Rank)<<locRankShift |
-				uint32(l.Channel)<<locChannelShift |
-				uint32(l.Node)<<locNodeShift
+
+	// Per-byte gathers. loc packs channel, rank and bank in their
+	// locTable lanes (meaningless, and unused, when !locPackable);
+	// bank is the bank color within the node: Eq. 1 with node 0, an OR
+	// because the channel, rank and bank counts are powers of two.
+	type byteGathers struct {
+		loc  [256]uint32
+		bank [256]int32
+		llc  [256]int16
+	}
+	gs := make([]byteGathers, max(1, (bits.Len64(frames-1)+7)/8))
+	for j := range gs {
+		for v := range 256 {
+			a := uint64(v) << (8*j + PageShift)
+			ch, rk, bk := gather(a, m.channelBits), gather(a, m.rankBits), gather(a, m.bankBits)
+			gs[j].loc[v] = uint32(bk)<<locBankShift | uint32(rk)<<locRankShift | uint32(ch)<<locChannelShift
+			gs[j].bank[v] = int32((ch<<len(m.rankBits)|rk)<<len(m.bankBits) | bk)
+			gs[j].llc[v] = int16(gather(a, m.llcBits))
 		}
-		m.bankTable[f] = int32(m.GatherBankColor(a))
-		m.llcTable[f] = int16(m.GatherLLCColor(a))
+	}
+	perNode := m.nodeSize / PageSize
+	bpn := int32(m.BanksPerNode())
+	node, nodeEnd := uint64(0), perNode
+	for hi := uint64(0); hi < frames; hi += 256 {
+		var hiLoc uint32
+		var hiBank int32
+		var hiLLC int16
+		for j := 1; j < len(gs); j++ {
+			v := hi >> (8 * j) & 0xff
+			hiLoc |= gs[j].loc[v]
+			hiBank |= gs[j].bank[v]
+			hiLLC |= gs[j].llc[v]
+		}
+		for f := hi; f < min(hi+256, frames); f++ {
+			if f == nodeEnd {
+				node++
+				nodeEnd += perNode
+			}
+			lo := f & 0xff
+			if m.locTable != nil {
+				m.locTable[f] = hiLoc | gs[0].loc[lo] | uint32(node)<<locNodeShift
+			}
+			m.bankTable[f] = int32(node)*bpn + (hiBank | gs[0].bank[lo])
+			m.llcTable[f] = hiLLC | gs[0].llc[lo]
+		}
 	}
 }
 

@@ -54,7 +54,7 @@ func buildArt(threads []engine.Thread, p Params) ([]engine.Phase, error) {
 			streamTouch(yield, inputVA[i], inBytes, true, 1)
 		}
 	}
-	phases := []engine.Phase{engine.Parallel("init", initBodies).Batch()}
+	phases := []engine.Phase{engine.Parallel("init", initBodies)}
 
 	epochs := int(p.scaled(artEpochs))
 	bodies := make([]engine.Work, n)
@@ -88,6 +88,6 @@ func buildArt(threads []engine.Thread, p Params) ([]engine.Phase, error) {
 			}
 		}
 	}
-	phases = append(phases, engine.Parallel("match", bodies).Batch())
+	phases = append(phases, engine.Parallel("match", bodies))
 	return phases, nil
 }

@@ -50,7 +50,7 @@ func buildBlackscholes(threads []engine.Thread, p Params) ([]engine.Phase, error
 		}
 		streamTouch(yield, optionsVA, bytes, true, 4)
 	}
-	phases := []engine.Phase{engine.Serial("parse-input", n, load).Batch()}
+	phases := []engine.Phase{engine.Serial("parse-input", n, load)}
 
 	// Parallel copy-in: each worker reads its slice of the
 	// master-parsed array once and writes it into a local copy —
@@ -79,7 +79,7 @@ func buildBlackscholes(threads []engine.Thread, p Params) ([]engine.Phase, error
 			}
 		}
 	}
-	phases = append(phases, engine.Parallel("copy-in", copyBodies).Batch())
+	phases = append(phases, engine.Parallel("copy-in", copyBodies))
 
 	// Parallel pricing: read an option line from the local copy,
 	// run the long Black-Scholes arithmetic, write the result.
@@ -101,7 +101,7 @@ func buildBlackscholes(threads []engine.Thread, p Params) ([]engine.Phase, error
 			}
 		}
 	}
-	phases = append(phases, engine.Parallel("price", priceBodies).Batch())
+	phases = append(phases, engine.Parallel("price", priceBodies))
 
 	// Parallel aggregation over the thread's own results (cached,
 	// colored-local data).
@@ -117,6 +117,6 @@ func buildBlackscholes(threads []engine.Thread, p Params) ([]engine.Phase, error
 			}
 		}
 	}
-	phases = append(phases, engine.Parallel("aggregate", aggrBodies).Batch())
+	phases = append(phases, engine.Parallel("aggregate", aggrBodies))
 	return phases, nil
 }

@@ -62,7 +62,7 @@ func buildBodytrack(threads []engine.Thread, p Params) ([]engine.Phase, error) {
 			streamTouch(yield, particleVA[i], partBytes, true, 1)
 		}
 	}
-	phases := []engine.Phase{engine.Parallel("init", initBodies).Batch()}
+	phases := []engine.Phase{engine.Parallel("init", initBodies)}
 
 	frames := int(p.scaled(bodytrackFrames))
 	imgLines := imgBytes / phys.LineSize
@@ -77,7 +77,7 @@ func buildBodytrack(threads []engine.Thread, p Params) ([]engine.Phase, error) {
 				streamTouch(yield, imageVA[i], imgBytes, true, bodytrackCompute/2)
 			}
 		}
-		phases = append(phases, engine.Parallel("image-maps", mapBodies).Batch())
+		phases = append(phases, engine.Parallel("image-maps", mapBodies))
 
 		// Parallel: particle weight evaluation.
 		evalBodies := make([]engine.Work, n)
@@ -106,14 +106,14 @@ func buildBodytrack(threads []engine.Thread, p Params) ([]engine.Phase, error) {
 				}
 			}
 		}
-		phases = append(phases, engine.Parallel("evaluate", evalBodies).Batch())
+		phases = append(phases, engine.Parallel("evaluate", evalBodies))
 
 		// Serial resampling on the master: pass over its own
 		// particle slice.
 		resample := func(yield func(engine.Op) bool) {
 			streamTouch(yield, particleVA[0], partBytes, true, bodytrackCompute)
 		}
-		phases = append(phases, engine.Serial("resample", n, resample).Batch())
+		phases = append(phases, engine.Serial("resample", n, resample))
 	}
 	return phases, nil
 }

@@ -46,7 +46,7 @@ func buildEquake(threads []engine.Thread, p Params) ([]engine.Phase, error) {
 			streamTouch(yield, nodesVA[i], bytes, true, 1)
 		}
 	}
-	phases := []engine.Phase{engine.Parallel("init", initBodies).Batch()}
+	phases := []engine.Phase{engine.Parallel("init", initBodies)}
 
 	bodies := make([]engine.Work, n)
 	pages := bytes / phys.PageSize
@@ -78,6 +78,6 @@ func buildEquake(threads []engine.Thread, p Params) ([]engine.Phase, error) {
 			}
 		}
 	}
-	phases = append(phases, engine.Parallel("smvp", bodies).Batch())
+	phases = append(phases, engine.Parallel("smvp", bodies))
 	return phases, nil
 }

@@ -21,7 +21,7 @@ const (
 // (row-buffer conflicts against itself otherwise) and a large LLC
 // share — which is why the paper found full MEM+LLC coloring, with
 // its restricted per-thread bank and LLC slice, beaten by
-// LLC+MEM(part) at 16 threads.
+// LLC+MEM(part) at 16 threads. Tree node k sits in heap slot k.
 func Freqmine() Workload {
 	return Workload{
 		Name:        "freqmine",
@@ -36,65 +36,47 @@ func buildFreqmine(threads []engine.Thread, p Params) ([]engine.Phase, error) {
 	nWalks := int(p.scaled(freqmineTraversals))
 	n := len(threads)
 
-	// nodeVAs[i] holds thread i's tree nodes in creation order.
-	nodeVAs := make([][]uint64, n)
-
 	buildBodies := make([]engine.Work, n)
 	for i := range threads {
-		th, i := threads[i], i
 		buildBodies[i] = func(yield func(engine.Op) bool) {
 			rng := rngFor(p, i)
-			nodeVAs[i] = make([]uint64, 0, nNodes)
 			for k := 0; k < nNodes; k++ {
-				va, err := th.Heap.Malloc(freqmineNodeSize)
-				if err != nil {
-					return
-				}
-				nodeVAs[i] = append(nodeVAs[i], va)
 				// Write the new node, then touch its (random)
 				// parent to link it — the insertion path.
-				if !yield(engine.Op{VA: va, Write: true, Compute: freqmineCompute}) {
+				if !yield(engine.Malloc(k, freqmineNodeSize)) ||
+					!yield(engine.Op{Ref: engine.Slot(k), Write: true, Compute: freqmineCompute}) {
 					return
 				}
 				if k > 0 {
-					parent := nodeVAs[i][rng.Intn(k)]
-					if !yield(engine.Op{VA: parent, Write: true, Compute: freqmineCompute}) {
+					parent := rng.Intn(k)
+					if !yield(engine.Op{Ref: engine.Slot(parent), Write: true, Compute: freqmineCompute}) {
 						return
 					}
 				}
 			}
 		}
 	}
-	// build-tree must NOT be Batched: Heap.Malloc between yields
-	// advances the process-wide VA bump pointer, so running a body
-	// ahead of its scheduled ops would reorder allocations across
-	// threads and change every node address.
 	phases := []engine.Phase{engine.Parallel("build-tree", buildBodies)}
 
 	mineBodies := make([]engine.Work, n)
 	for i := range threads {
-		i := i
 		mineBodies[i] = func(yield func(engine.Op) bool) {
 			rng := rngFor(p, 500000+i)
-			nodes := nodeVAs[i]
-			if len(nodes) == 0 {
-				return
-			}
 			for w := 0; w < nWalks; w++ {
 				// Conditional pattern walk: data-dependent hops
 				// across the node pool.
-				idx := rng.Intn(len(nodes))
+				idx := rng.Intn(nNodes)
 				for s := 0; s < freqmineWalkLen; s++ {
-					if !yield(engine.Op{VA: nodes[idx], Compute: freqmineCompute}) {
+					if !yield(engine.Op{Ref: engine.Slot(idx), Compute: freqmineCompute}) {
 						return
 					}
 					// Next hop derived from current position
 					// (deterministic chaos, reproducible).
-					idx = int(uint64(idx)*2654435761+uint64(s)) % len(nodes)
+					idx = int(uint64(idx)*2654435761+uint64(s)) % nNodes
 				}
 			}
 		}
 	}
-	phases = append(phases, engine.Parallel("mine", mineBodies).Batch())
+	phases = append(phases, engine.Parallel("mine", mineBodies))
 	return phases, nil
 }

@@ -28,7 +28,7 @@ type GarbageSpec struct {
 // behind it) stays on the critical path for the whole run instead of
 // only during init. Block addresses recycle through the size-class
 // free lists, which keeps the page working set stable while the
-// object population churns.
+// object population churns. Live block k sits in heap slot k.
 func Garbage(s GarbageSpec) Workload {
 	return Workload{
 		Name:        "garbage",
@@ -59,24 +59,13 @@ func buildGarbage(threads []engine.Thread, p Params, s GarbageSpec) ([]engine.Ph
 	}
 	n := len(threads)
 
-	// live[i] holds thread i's live block addresses.
-	live := make([][]uint64, n)
-
-	// Ramp: build the live set. Malloc between yields advances the
-	// process-wide VA bump pointer, so churny phases must NOT be
-	// Batched (see the freqmine build-tree rationale).
+	// Ramp: build the live set.
 	rampBodies := make([]engine.Work, n)
 	for i := range threads {
-		th, i := threads[i], i
 		rampBodies[i] = func(yield func(engine.Op) bool) {
-			live[i] = make([]uint64, 0, liveN)
 			for k := 0; k < liveN; k++ {
-				va, err := th.Heap.Malloc(block)
-				if err != nil {
-					return
-				}
-				live[i] = append(live[i], va)
-				if !yield(engine.Op{VA: va, Write: true, Compute: garbageCompute}) {
+				if !yield(engine.Malloc(k, block)) ||
+					!yield(engine.Op{Ref: engine.Slot(k), Write: true, Compute: garbageCompute}) {
 					return
 				}
 			}
@@ -86,32 +75,20 @@ func buildGarbage(threads []engine.Thread, p Params, s GarbageSpec) ([]engine.Ph
 
 	churnBodies := make([]engine.Work, n)
 	for i := range threads {
-		th, i := threads[i], i
 		churnBodies[i] = func(yield func(engine.Op) bool) {
 			rng := rngFor(p, 700000+i)
-			blocks := live[i]
-			if len(blocks) == 0 {
-				return
-			}
 			for k := uint64(0); k < allocs; k++ {
 				// Replace a random victim: free, allocate, write the
 				// newcomer (the address usually recycles through the
 				// size-class free list).
-				v := rng.Intn(len(blocks))
-				if th.Heap.Free(blocks[v]) != nil {
-					return
-				}
-				va, err := th.Heap.Malloc(block)
-				if err != nil {
-					return
-				}
-				blocks[v] = va
-				if !yield(engine.Op{VA: va, Write: true, Compute: garbageCompute}) {
+				v := rng.Intn(liveN)
+				if !yield(engine.Free(v)) || !yield(engine.Malloc(v, block)) ||
+					!yield(engine.Op{Ref: engine.Slot(v), Write: true, Compute: garbageCompute}) {
 					return
 				}
 				// Read a surviving block: the scan share of the
 				// original benchmark's work.
-				if !yield(engine.Op{VA: blocks[rng.Intn(len(blocks))], Compute: garbageCompute}) {
+				if !yield(engine.Op{Ref: engine.Slot(rng.Intn(liveN)), Compute: garbageCompute}) {
 					return
 				}
 			}

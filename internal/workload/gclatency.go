@@ -74,7 +74,7 @@ func buildGCLatency(threads []engine.Thread, p Params, s GCLatencySpec) ([]engin
 			streamTouch(yield, ballastVA[i], ballast, true, 1)
 		}
 	}
-	phases := []engine.Phase{engine.Parallel("init", initBodies).Batch()}
+	phases := []engine.Phase{engine.Parallel("init", initBodies)}
 
 	ringLines := ringBytes / phys.LineSize
 	for tick := 0; tick < ticks; tick++ {
@@ -99,7 +99,7 @@ func buildGCLatency(threads []engine.Thread, p Params, s GCLatencySpec) ([]engin
 				}
 			}
 		}
-		phases = append(phases, engine.Parallel("tick", bodies).Batch())
+		phases = append(phases, engine.Parallel("tick", bodies))
 	}
 	return phases, nil
 }

@@ -38,7 +38,8 @@ type HeteroSpec struct {
 // policy their overflow lives on degradation-ladder loans, streamed
 // remotely forever. Reusers hammer a small hot array that wants
 // exactly the LLC partition the streamers would waste. Churners turn
-// over a tiny heap live set that never repays private colors. Epochs
+// over a tiny heap live set, block b in heap slot b, that never repays
+// private colors. Epochs
 // end at barriers, so an adaptive engine gets one decision point per
 // epoch; no single static policy fits all three roles at once.
 func HeteroMix(s HeteroSpec) Workload {
@@ -87,7 +88,6 @@ func buildHeteroMix(threads []engine.Thread, p Params, s HeteroSpec) ([]engine.P
 	// Per-thread state, each entry touched only by its own thread.
 	streamChunks := make([][]uint64, n) // streamer chunk base VAs
 	hotVA := make([]uint64, n)
-	live := make([][]uint64, n) // churner live block VAs
 
 	initBodies := make([]engine.Work, n)
 	for i := range threads {
@@ -103,14 +103,9 @@ func buildHeteroMix(threads []engine.Thread, p Params, s HeteroSpec) ([]engine.P
 			}
 		case 'c':
 			initBodies[i] = func(yield func(engine.Op) bool) {
-				live[i] = make([]uint64, 0, heteroChurnLive)
 				for b := 0; b < heteroChurnLive; b++ {
-					va, err := th.Heap.Malloc(heteroChurnBlock)
-					if err != nil {
-						return
-					}
-					live[i] = append(live[i], va)
-					if !yield(engine.Op{VA: va, Write: true, Compute: heteroCompute}) {
+					if !yield(engine.Malloc(b, heteroChurnBlock)) ||
+						!yield(engine.Op{Ref: engine.Slot(b), Write: true, Compute: heteroCompute}) {
 						return
 					}
 				}
@@ -158,29 +153,23 @@ func buildHeteroMix(threads []engine.Thread, p Params, s HeteroSpec) ([]engine.P
 			default: // 'c'
 				bodies[i] = func(yield func(engine.Op) bool) {
 					rng := rngFor(p, 900000+i*31+e)
-					blocks := live[i]
-					if len(blocks) == 0 {
-						return
-					}
 					for a := uint64(0); a < churnAllocs; a++ {
-						v := rng.Intn(len(blocks))
-						if th.Heap.Free(blocks[v]) != nil {
+						v := rng.Intn(heteroChurnLive)
+						if !yield(engine.Free(v)) || !yield(engine.Malloc(v, heteroChurnBlock)) ||
+							!yield(engine.Op{Ref: engine.Slot(v), Write: true, Compute: heteroCompute}) {
 							return
 						}
-						va, err := th.Heap.Malloc(heteroChurnBlock)
-						if err != nil {
-							return
-						}
-						blocks[v] = va
-						if !yield(engine.Op{VA: va, Write: true, Compute: heteroCompute}) {
-							return
-						}
-						if !yield(engine.Op{VA: blocks[rng.Intn(len(blocks))], Compute: heteroCompute}) {
+						if !yield(engine.Op{Ref: engine.Slot(rng.Intn(heteroChurnLive)), Compute: heteroCompute}) {
 							return
 						}
 					}
 					// End-of-epoch trim: hand empty slabs back and give
 					// the kernel its reclaim window, like a GC cycle.
+					// Sync runs it at the thread's final turn, after the
+					// last free.
+					if !yield(engine.Sync()) {
+						return
+					}
 					if _, err := th.Heap.Trim(); err != nil {
 						return
 					}

@@ -36,7 +36,8 @@ type HTTPSpec struct {
 // corpus lines. Per-request malloc/free keeps the allocator hot, and
 // every request crosses thread-private scratch with shared
 // master-touched data — the divergence the paper's Sec. IV
-// attributes to fan-out services.
+// attributes to fan-out services. The scratch buffer sits in heap
+// slot 0.
 func HTTP(s HTTPSpec) Workload {
 	return Workload{
 		Name:        "http",
@@ -87,21 +88,17 @@ func buildHTTP(threads []engine.Thread, p Params, s HTTPSpec) ([]engine.Phase, e
 		}
 		streamTouch(yield, corpusVA, corpus, true, 1)
 	}
-	phases := []engine.Phase{engine.Serial("setup", n, setup).Batch()}
+	phases := []engine.Phase{engine.Serial("setup", n, setup)}
 
 	corpusLines := corpus / phys.LineSize
 	serveBodies := make([]engine.Work, n)
 	for i := range threads {
-		th, i := threads[i], i
 		serveBodies[i] = func(yield func(engine.Op) bool) {
 			rng := rngFor(p, 900000+i)
 			for r := uint64(0); r < requests; r++ {
 				// Accept: scratch buffer for the request/response pair.
-				buf, err := th.Heap.Malloc(httpReqBytes)
-				if err != nil {
-					return
-				}
-				if !yield(engine.Op{VA: buf, Write: true, Compute: httpCompute}) {
+				if !yield(engine.Malloc(0, httpReqBytes)) ||
+					!yield(engine.Op{Ref: engine.Slot(0), Write: true, Compute: httpCompute}) {
 					return
 				}
 				// Route lookup in the shared table.
@@ -119,19 +116,17 @@ func buildHTTP(threads []engine.Thread, p Params, s HTTPSpec) ([]engine.Phase, e
 					}
 					// Stage into the scratch buffer.
 					off := uint64(d) * phys.LineSize % httpReqBytes
-					if !yield(engine.Op{VA: buf + off, Write: true}) {
+					if !yield(engine.Op{VA: off, Write: true, Ref: engine.Slot(0)}) {
 						return
 					}
 				}
 				// Respond and release.
-				if th.Heap.Free(buf) != nil {
+				if !yield(engine.Free(0)) {
 					return
 				}
 			}
 		}
 	}
-	// Per-request Malloc/Free mutates process-wide heap state between
-	// yields, so the serve phase must not be Batched.
 	phases = append(phases, engine.Parallel("serve", serveBodies))
 	return phases, nil
 }

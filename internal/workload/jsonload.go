@@ -31,7 +31,8 @@ type JSONSpec struct {
 // while streaming the output buffer (the encode). The tree nodes are
 // the LLC-sensitive part — the walk revisits them immediately after
 // the build — while the input/output streams are pure bandwidth, a
-// mix that rewards MEM+LLC coloring on both axes.
+// mix that rewards MEM+LLC coloring on both axes. Node k of a
+// document sits in heap slot k.
 func JSON(s JSONSpec) Workload {
 	return Workload{
 		Name:        "json",
@@ -85,7 +86,7 @@ func buildJSON(threads []engine.Thread, p Params, s JSONSpec) ([]engine.Phase, e
 			streamTouch(yield, inVA[i], input, true, 1)
 		}
 	}
-	phases := []engine.Phase{engine.Parallel("load", initBodies).Batch()}
+	phases := []engine.Phase{engine.Parallel("load", initBodies)}
 
 	sliceBytes := input / docs
 	if sliceBytes < phys.LineSize {
@@ -93,40 +94,33 @@ func buildJSON(threads []engine.Thread, p Params, s JSONSpec) ([]engine.Phase, e
 	}
 	workBodies := make([]engine.Work, n)
 	for i := range threads {
-		th, i := threads[i], i
 		workBodies[i] = func(yield func(engine.Op) bool) {
 			rng := rngFor(p, 600000+i)
-			nodes := make([]uint64, 0, nodesPerDoc)
 			for doc := uint64(0); doc < docs; doc++ {
 				// Decode: stream the document slice while building
 				// the node tree in allocation order.
 				base := inVA[i] + (doc*sliceBytes)%input
 				off := uint64(0)
-				nodes = nodes[:0]
 				for k := 0; k < nodesPerDoc; k++ {
 					if !yield(engine.Op{VA: inVA[i] + (base-inVA[i]+off)%input, Compute: jsonCompute}) {
 						return
 					}
 					off += phys.LineSize
-					va, err := th.Heap.Malloc(jsonNodeSize)
-					if err != nil {
-						return
-					}
-					nodes = append(nodes, va)
-					if !yield(engine.Op{VA: va, Write: true, Compute: jsonCompute}) {
+					if !yield(engine.Malloc(k, jsonNodeSize)) ||
+						!yield(engine.Op{Ref: engine.Slot(k), Write: true, Compute: jsonCompute}) {
 						return
 					}
 				}
 				// Encode: walk the tree depth-first (parent before a
 				// random child chain) and stream the output buffer.
 				outOff := (doc * sliceBytes) % input
-				for k := range nodes {
-					if !yield(engine.Op{VA: nodes[k], Compute: jsonCompute}) {
+				for k := 0; k < nodesPerDoc; k++ {
+					if !yield(engine.Op{Ref: engine.Slot(k), Compute: jsonCompute}) {
 						return
 					}
 					// Revisit a random ancestor: pointer-chasing share.
 					if k > 0 {
-						if !yield(engine.Op{VA: nodes[rng.Intn(k)], Compute: jsonCompute}) {
+						if !yield(engine.Op{Ref: engine.Slot(rng.Intn(k)), Compute: jsonCompute}) {
 							return
 						}
 					}
@@ -137,16 +131,14 @@ func buildJSON(threads []engine.Thread, p Params, s JSONSpec) ([]engine.Phase, e
 				// Release the document tree before the next one: the
 				// decode/encode cycle of the original is
 				// allocate-heavy but steady-state.
-				for _, va := range nodes {
-					if th.Heap.Free(va) != nil {
+				for k := 0; k < nodesPerDoc; k++ {
+					if !yield(engine.Free(k)) {
 						return
 					}
 				}
 			}
 		}
 	}
-	// Malloc/Free between yields: must not be Batched (freqmine
-	// build-tree rationale).
 	phases = append(phases, engine.Parallel("decode-encode", workBodies))
 	return phases, nil
 }

@@ -56,7 +56,7 @@ func buildLBM(threads []engine.Thread, p Params) ([]engine.Phase, error) {
 			streamTouch(yield, dstVA[i], bytes, true, 1)
 		}
 	}
-	phases := []engine.Phase{engine.Parallel("init", initBodies).Batch()}
+	phases := []engine.Phase{engine.Parallel("init", initBodies)}
 
 	steps := int(p.scaled(lbmSteps))
 	for s := 0; s < steps; s++ {
@@ -82,7 +82,7 @@ func buildLBM(threads []engine.Thread, p Params) ([]engine.Phase, error) {
 				}
 			}
 		}
-		phases = append(phases, engine.Parallel("step", bodies).Batch())
+		phases = append(phases, engine.Parallel("step", bodies))
 	}
 	return phases, nil
 }

@@ -65,5 +65,5 @@ func buildSynthetic(threads []engine.Thread, p Params) ([]engine.Phase, error) {
 			}
 		}
 	}
-	return []engine.Phase{engine.Parallel("sweep", bodies).Batch()}, nil
+	return []engine.Phase{engine.Parallel("sweep", bodies)}, nil
 }

@@ -62,9 +62,14 @@ type (
 	Time = clock.Time
 	// Dur is a span of simulated core cycles.
 	Dur = clock.Dur
-	// Op is one step of a simulated thread body.
+	// Op is one step of a simulated thread body: compute cycles and
+	// at most one memory access (see engine.Op for heap-slot ops).
 	Op = engine.Op
-	// Work is a thread body yielding Ops in program order.
+	// Work is a thread body yielding Ops in program order. The engine
+	// pulls a body's ops in blocks, so a body runs ahead of simulated
+	// time: it may touch shared state (Thread.Malloc and Free, a
+	// shared cursor) only before its first yield or right after
+	// yielding Sync(), both of which run at the thread's own turn.
 	Work = engine.Work
 	// Phase is a serial or parallel program section.
 	Phase = engine.Phase
@@ -104,6 +109,12 @@ func Parallel(name string, bodies []Work) Phase { return engine.Parallel(name, b
 // `for nowait`, as in the paper's Algorithm 3).
 func NoWaitParallel(name string, bodies []Work) Phase { return engine.NoWaitParallel(name, bodies) }
 
+// Sync returns the op that hands a body its thread's turn: the body's
+// code after it runs when the thread's next op does, in simulated-time
+// order with the other threads. It is not an op itself; it takes no
+// time and counts in no result.
+func Sync() Op { return engine.Sync() }
+
 // IterBody emits the ops of one loop iteration (see StaticFor).
 type IterBody = engine.IterBody
 
@@ -114,7 +125,9 @@ func StaticFor(n, nThreads int, body IterBody) []Work {
 }
 
 // DynamicFor hands out loop chunks from a shared work queue, like
-// OpenMP schedule(dynamic, chunk).
+// OpenMP schedule(dynamic, chunk). Each chunk is claimed after a Sync,
+// so the thread that is earliest in simulated time claims the next
+// one.
 func DynamicFor(n, chunk, nThreads int, body IterBody) []Work {
 	return engine.DynamicFor(n, chunk, nThreads, body)
 }

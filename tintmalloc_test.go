@@ -253,6 +253,54 @@ func TestPublicLoopScheduling(t *testing.T) {
 	}
 }
 
+// A public body that calls the heap between yields does it after a
+// Sync, so each call runs at its thread's turn. Every Malloc here maps
+// fresh pages from the process's one address bump pointer, so at the
+// right turns each traced access lands above every earlier one.
+func TestPublicSyncHeapCalls(t *testing.T) {
+	s := newSys(t)
+	var bodies []Work
+	var heapErr error
+	for i, c := range []CoreID{0, 4} {
+		th, err := s.AddThread(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, func(yield func(Op) bool) {
+			for k := 0; k < 8; k++ {
+				if !yield(Sync()) {
+					return
+				}
+				va, err := th.Malloc(4096)
+				if err != nil {
+					heapErr = err
+					return
+				}
+				if !yield(Op{VA: va, Write: true, Compute: Dur(10 * (i + 1))}) {
+					return
+				}
+			}
+		})
+	}
+	var vas []uint64
+	s.SetTracer(func(e TraceEvent) { vas = append(vas, e.VA) })
+	if _, err := s.Run([]Phase{Parallel("alloc", bodies)}); err != nil {
+		t.Fatal(err)
+	}
+	if heapErr != nil {
+		t.Fatal(heapErr)
+	}
+	if len(vas) != 16 {
+		t.Fatalf("tracer saw %d events, want 16", len(vas))
+	}
+	for i := 1; i < len(vas); i++ {
+		if vas[i] <= vas[i-1] {
+			t.Fatalf("access %d at %#x is below access %d at %#x: a Malloc ran ahead of its turn",
+				i, vas[i], i-1, vas[i-1])
+		}
+	}
+}
+
 func TestPublicMigrate(t *testing.T) {
 	s := newSys(t)
 	th, err := s.AddThread(0)
