@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -54,8 +55,8 @@ func validate(o options) error {
 	if o.ops <= 0 {
 		return fmt.Errorf("-ops %d: must churn at least one operation", o.ops)
 	}
-	if o.memGiB <= 0 {
-		return fmt.Errorf("-mem %g: installed memory must be positive", o.memGiB)
+	if !(o.memGiB > 0) || math.IsInf(o.memGiB, 0) {
+		return fmt.Errorf("-mem %g: installed memory must be finite and positive", o.memGiB)
 	}
 	if o.queue < 0 || o.highwater < 0 || o.batch < 0 || o.stripes < 0 {
 		return fmt.Errorf("-queue/-highwater/-batch/-stripes must not be negative")

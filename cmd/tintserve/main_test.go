@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestValidateOptions pins the usage-error surface: every parameter
 // the serve.Config clamps would silently repair must be rejected
@@ -19,6 +22,8 @@ func TestValidateOptions(t *testing.T) {
 		{name: "zero ops", mutate: func(o *options) { o.ops = 0 }, wantErr: true},
 		{name: "negative ops", mutate: func(o *options) { o.ops = -5 }, wantErr: true},
 		{name: "zero mem", mutate: func(o *options) { o.memGiB = 0 }, wantErr: true},
+		{name: "NaN mem", mutate: func(o *options) { o.memGiB = math.NaN() }, wantErr: true},
+		{name: "infinite mem", mutate: func(o *options) { o.memGiB = math.Inf(1) }, wantErr: true},
 		{name: "negative queue", mutate: func(o *options) { o.queue = -1 }, wantErr: true},
 		{name: "negative highwater", mutate: func(o *options) { o.highwater = -1 }, wantErr: true},
 		{name: "negative batch", mutate: func(o *options) { o.batch = -1 }, wantErr: true},

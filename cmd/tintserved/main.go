@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -68,8 +69,8 @@ func parseListen(spec string) (network, addr string, err error) {
 // that starts with different limits than the operator asked for is a
 // misconfiguration, not a convenience.
 func validate(o options) error {
-	if o.memGiB <= 0 {
-		return fmt.Errorf("-mem %g: installed memory must be positive", o.memGiB)
+	if !(o.memGiB > 0) || math.IsInf(o.memGiB, 0) {
+		return fmt.Errorf("-mem %g: installed memory must be finite and positive", o.memGiB)
 	}
 	if o.queue < 0 || o.highwater < 0 || o.batch < 0 || o.stripes < 0 {
 		return fmt.Errorf("-queue/-highwater/-batch/-stripes must not be negative")

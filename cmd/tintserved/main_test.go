@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestParseListen(t *testing.T) {
 	cases := []struct {
@@ -45,6 +48,8 @@ func TestValidateOptions(t *testing.T) {
 		{name: "defaults", mutate: func(o *options) {}},
 		{name: "zero mem", mutate: func(o *options) { o.memGiB = 0 }, wantErr: true},
 		{name: "negative mem", mutate: func(o *options) { o.memGiB = -1 }, wantErr: true},
+		{name: "NaN mem", mutate: func(o *options) { o.memGiB = math.NaN() }, wantErr: true},
+		{name: "infinite mem", mutate: func(o *options) { o.memGiB = math.Inf(1) }, wantErr: true},
 		{name: "negative queue", mutate: func(o *options) { o.queue = -1 }, wantErr: true},
 		{name: "negative stripes", mutate: func(o *options) { o.stripes = -4 }, wantErr: true},
 		{name: "highwater over explicit queue", mutate: func(o *options) { o.queue = 64; o.highwater = 65 }, wantErr: true},

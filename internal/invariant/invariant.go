@@ -7,13 +7,13 @@
 // bookkeeping never drifts between layers: every frame on
 // color_list[bc][lc] must actually hash to (bc, lc) under the
 // machine's address mapping (paper Eq. 1), a frame must have exactly
-// one owner (a buddy free list, a color list, a page table, or a pcp
-// cache), and policies that promise per-thread private color sets
-// must actually hand out disjoint sets. A silent violation — e.g. a
-// double-freed colored frame parked twice and then handed to two
-// threads — would corrupt cycle counts without failing anything,
-// which is exactly the failure mode cross-layer partitioners like BPM
-// and vertical memory management are known for.
+// one owner (a buddy free list, a color list or a page table), every
+// TLB entry must agree with its page table, and policies that promise
+// per-thread private color sets must actually hand out disjoint sets.
+// A silent violation — e.g. a double-freed colored frame parked twice
+// and then handed to two threads — would corrupt cycle counts without
+// failing anything, which is exactly the failure mode cross-layer
+// partitioners like BPM and vertical memory management are known for.
 //
 // Audit is wired into kernel, buddy, engine and bench tests (no build
 // tags; it runs under plain `go test ./...`). It is O(frames) and not
@@ -40,7 +40,6 @@ type Report struct {
 	BuddyFree uint64 // frames on buddy free lists
 	Parked    uint64 // frames parked on color lists
 	Mapped    uint64 // frames resident in page tables
-	PCPCached uint64 // frames in per-task pcp caches
 	// Unaccounted frames have no owner. Zero on an un-churned
 	// kernel; a churned kernel pins HoldoutFrac of its frames as
 	// permanently-resident "other process" memory, which shows up
@@ -74,10 +73,9 @@ const (
 	ownerBuddy
 	ownerColorList
 	ownerPageTable
-	ownerPCP
 )
 
-var ownerName = [...]string{"none", "buddy free list", "color list", "page table", "pcp cache"}
+var ownerName = [...]string{"none", "buddy free list", "color list", "page table"}
 
 // Audit cross-checks the kernel's frame bookkeeping across layers:
 //
@@ -85,13 +83,15 @@ var ownerName = [...]string{"none", "buddy free list", "color list", "page table
 //     LLC color lc under the machine mapping, independently recomputed
 //     from phys (not the kernel's cached tables).
 //  2. Every frame has at most one owner among {buddy free list, color
-//     list, page table, pcp cache}; duplicates on the same color list
-//     (a silent colored double-free) count as two owners.
+//     list, page table}; duplicates on the same color list (a silent
+//     colored double-free) count as two owners.
 //  3. Frames marked colored never sit on a buddy free list, and frames
 //     parked on a color list always carry the colored mark.
 //  4. Every live entry of every task's simulated TLB maps a vpage to
 //     exactly the frame the process page table holds — a stale entry
-//     means a missed shootdown.
+//     means a missed shootdown. The page table is the TLB's only
+//     reference, so this check and TestTLBShootdownDifferential in
+//     internal/kernel are what hold the TLB coherent.
 //  5. Every degradation-ladder loan backs a resident page of its
 //     borrower at the recorded virtual page, and a same-node color
 //     borrow never holds a color inside another task's private set —
@@ -120,22 +120,31 @@ func Audit(k *kernel.Kernel) *Report {
 	r := &Report{Frames: m.Frames()}
 	owner := make([]uint8, m.Frames())
 
-	claim := func(f phys.Frame, who uint8, what string) {
+	// claim makes who the owner of f. It reports false, changing
+	// nothing, when f is out of range or already owned; the caller
+	// then names itself to conflict, so a holder's description is
+	// formatted only for a violation, never per frame.
+	claim := func(f phys.Frame, who uint8) bool {
+		if uint64(f) >= r.Frames || owner[f] != ownerNone {
+			return false
+		}
+		owner[f] = who
+		return true
+	}
+	conflict := func(f phys.Frame, what string) {
 		if uint64(f) >= r.Frames {
 			r.addf("%s holds out-of-range frame %d", what, f)
 			return
 		}
-		if owner[f] != ownerNone {
-			r.addf("frame %d owned by both %s and %s", f, ownerName[owner[f]], what)
-			return
-		}
-		owner[f] = who
+		r.addf("frame %d owned by both %s and %s", f, ownerName[owner[f]], what)
 	}
 
 	for n := 0; n < m.Nodes(); n++ {
 		k.VisitZoneFree(n, func(head phys.Frame, order int) {
 			for f := head; f < head+phys.Frame(uint64(1)<<order); f++ {
-				claim(f, ownerBuddy, "buddy free list")
+				if !claim(f, ownerBuddy) {
+					conflict(f, "buddy free list")
+				}
 				r.BuddyFree++
 				if k.FrameColored(f) {
 					r.addf("colored frame %d returned to the buddy allocator; colored frames must rejoin their color list", f)
@@ -145,7 +154,9 @@ func Audit(k *kernel.Kernel) *Report {
 	}
 
 	k.VisitColorLists(func(bc, lc int, f phys.Frame) {
-		claim(f, ownerColorList, fmt.Sprintf("color list [%d][%d]", bc, lc))
+		if !claim(f, ownerColorList) {
+			conflict(f, fmt.Sprintf("color list [%d][%d]", bc, lc))
+		}
 		r.Parked++
 		if !m.ValidFrame(f) {
 			return
@@ -164,14 +175,12 @@ func Audit(k *kernel.Kernel) *Report {
 
 	for _, p := range k.Processes() {
 		p.VisitPages(func(vp uint64, f phys.Frame) {
-			claim(f, ownerPageTable, fmt.Sprintf("process %d page table (vpage %#x)", p.ID(), vp))
+			if !claim(f, ownerPageTable) {
+				conflict(f, fmt.Sprintf("process %d page table (vpage %#x)", p.ID(), vp))
+			}
 			r.Mapped++
 		})
 		for _, t := range p.Tasks() {
-			for _, f := range t.PCPFrames() {
-				claim(f, ownerPCP, fmt.Sprintf("task %d pcp cache", t.ID()))
-				r.PCPCached++
-			}
 			// TLB coherence: every cached translation must agree with
 			// the process page table — a stale entry means a missed
 			// shootdown on munmap, migrate or recolor.

@@ -10,7 +10,7 @@ import (
 
 // ownerClient extends the owner set for the serving layer, where
 // handed-out frames are tracked per client instead of per page table.
-const ownerClient = ownerPCP + 1
+const ownerClient = ownerPageTable + 1
 
 func ownerLabel(o uint8) string {
 	if o == ownerClient {

@@ -213,7 +213,7 @@ func (t *Task) CompactStep(budget int) CompactStats {
 				t.compactCursor = vp
 				return st
 			}
-			old, ok := t.proc.ptLookup(vp)
+			old, ok := t.proc.pt.Lookup(vp)
 			if !ok {
 				continue
 			}
@@ -235,7 +235,7 @@ func (t *Task) CompactStep(budget int) CompactStats {
 				t.compactCursor = vp
 				return st // pressure: stop, resume here next step
 			}
-			t.proc.ptInsert(vp, fresh)
+			t.proc.pt.Insert(vp, fresh)
 			t.proc.shootdownPage(vp)
 			k.freeFrame(old)
 			st.PagesMoved++
@@ -294,7 +294,7 @@ func (t *Task) compactLoans(budget int, st *CompactStats) int {
 		if !ok {
 			break // still under pressure; keep the remaining loans
 		}
-		t.proc.ptInsert(l.vp, fresh)
+		t.proc.pt.Insert(l.vp, fresh)
 		t.proc.shootdownPage(l.vp)
 		k.freeFrame(old) // settles the loan; old reparks or rejoins buddy
 		st.LoansMoved++

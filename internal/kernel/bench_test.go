@@ -10,8 +10,8 @@ import (
 
 // Microbenchmarks for Task.Translate, called once per memory op. The
 // simulated TLB turns the resident-page common case into one array
-// probe; the DisableTLB variants measure the page-table-walk path the
-// TLB shortcuts.
+// probe; BenchmarkWalkSweepRadix measures the page-table walk behind a
+// TLB miss.
 
 func benchBoot(b *testing.B, cfg Config) *Kernel {
 	b.Helper()
@@ -71,23 +71,10 @@ func BenchmarkTranslateResidentSweep(b *testing.B) {
 	}
 }
 
-func BenchmarkTranslateNoTLB(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.DisableTLB = true
-	task, va := benchResidentTask(b, cfg, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := task.Translate(va); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Map-vs-radix page-table comparison, measured two ways: the bare
-// structures under a resident-page lookup sweep, and the full
-// page-table-walk Translate path (TLB off so every op walks). The
-// sweep spans more pages than fit one radix leaf so the root level is
-// exercised too.
+// The page table measured two ways: the bare structure under a
+// resident-page lookup sweep, and the full Translate path when every
+// op walks it. Both sweeps span more pages than fit one radix leaf so
+// the root level is exercised too.
 func BenchmarkPTLookupRadix(b *testing.B) {
 	const pages = 4 * ptLeafSize
 	var r RadixPT
@@ -103,27 +90,13 @@ func BenchmarkPTLookupRadix(b *testing.B) {
 	}
 }
 
-func BenchmarkPTLookupMap(b *testing.B) {
+// BenchmarkWalkSweepRadix sweeps 2,048 resident pages in order. The
+// direct-mapped TLB has 1,024 entries, so each page's slot was taken
+// by the page 1,024 before it: every access misses and walks the page
+// table.
+func BenchmarkWalkSweepRadix(b *testing.B) {
 	const pages = 4 * ptLeafSize
-	m := make(map[uint64]phys.Frame)
-	for vp := uint64(0); vp < pages; vp++ {
-		m[vaBase>>phys.PageShift+vp] = phys.Frame(vp)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vp := vaBase>>phys.PageShift + uint64(i)%pages
-		if _, ok := m[vp]; !ok {
-			b.Fatal("miss")
-		}
-	}
-}
-
-func benchWalkSweep(b *testing.B, disableRadix bool) {
-	cfg := DefaultConfig()
-	cfg.DisableTLB = true // every Translate walks the page table
-	cfg.DisableRadixPT = disableRadix
-	const pages = 4 * ptLeafSize
-	task, va := benchResidentTask(b, cfg, pages)
+	task, va := benchResidentTask(b, DefaultConfig(), pages)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := uint64(i) % pages * phys.PageSize
@@ -132,9 +105,6 @@ func benchWalkSweep(b *testing.B, disableRadix bool) {
 		}
 	}
 }
-
-func BenchmarkWalkSweepRadix(b *testing.B) { benchWalkSweep(b, false) }
-func BenchmarkWalkSweepMap(b *testing.B)   { benchWalkSweep(b, true) }
 
 // BenchmarkMunmapChurn is the heap's steady state under garbage-style
 // churn: 1,024 live 2-page regions, and each op unmaps a random one,

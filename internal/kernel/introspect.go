@@ -9,7 +9,7 @@ import (
 // Introspection accessors for the invariant auditor
 // (internal/invariant). They expose read-only views of the kernel's
 // frame bookkeeping — color lists, the colored-frame ownership marks,
-// buddy free blocks, page tables and pcp caches — so tests can
+// buddy free blocks, page tables and TLBs — so tests can
 // cross-check every layer's view of physical memory against the
 // others without reaching into unexported state. None of them are
 // used on simulation hot paths.
@@ -51,25 +51,10 @@ func (k *Kernel) FrameColors(f phys.Frame) (bankColor, llcColor int) {
 func (k *Kernel) Processes() []*Process { return append([]*Process(nil), k.procs...) }
 
 // VisitPages calls fn for every resident page of p in ascending
-// virtual-page order. On the radix path the order is structural —
-// RadixPT.Visit walks root chunks and leaf slots in ascending index
-// order — so the guarantee holds with no sorting pass; the map
-// reference path must sort its keys to offer the same order, and the
-// differential tests rely on the two iterations matching exactly.
-func (p *Process) VisitPages(fn func(vpage uint64, f phys.Frame)) {
-	if p.ptm != nil {
-		vps := make([]uint64, 0, len(p.ptm))
-		for vp := range p.ptm {
-			vps = append(vps, vp)
-		}
-		sort.Slice(vps, func(i, j int) bool { return vps[i] < vps[j] })
-		for _, vp := range vps {
-			fn(vp, p.ptm[vp])
-		}
-		return
-	}
-	p.pt.Visit(fn)
-}
+// virtual-page order. The order is structural — RadixPT.Visit walks
+// root chunks and leaf slots in ascending index order — so it needs
+// no sorting pass; the radix differential tests check it.
+func (p *Process) VisitPages(fn func(vpage uint64, f phys.Frame)) { p.pt.Visit(fn) }
 
 // VisitRegions calls fn for every live mapped region of p in
 // ascending start order: its page-aligned range [start, end) and the
@@ -124,7 +109,7 @@ func (t *Task) ResidentPages() uint64 {
 			continue
 		}
 		for vp := r.start >> phys.PageShift; vp < r.end>>phys.PageShift; vp++ {
-			if _, ok := t.proc.ptLookup(vp); ok {
+			if _, ok := t.proc.pt.Lookup(vp); ok {
 				n++
 			}
 		}
@@ -138,12 +123,8 @@ func (t *Task) OwnsBankColor(c int) bool { return c >= 0 && c < len(t.bankSet) &
 // OwnsLLCColor reports whether the task's TCB holds LLC color c.
 func (t *Task) OwnsLLCColor(c int) bool { return c >= 0 && c < len(t.llcSet) && t.llcSet[c] }
 
-// PCPFrames returns a copy of the task's per-CPU page cache (frames
-// pulled from a zone but not yet handed to a fault).
-func (t *Task) PCPFrames() []phys.Frame { return append([]phys.Frame(nil), t.pcp...) }
-
 // VisitTLB calls fn for every live entry of the task's simulated TLB
-// in slot order. It visits nothing when the TLB is disabled.
+// in slot order.
 func (t *Task) VisitTLB(fn func(vpage uint64, f phys.Frame)) {
 	for _, e := range t.tlb {
 		if e.vp != 0 {

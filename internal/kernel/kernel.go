@@ -76,21 +76,6 @@ type Config struct {
 	// pages of "other" processes), pinning the fragmentation.
 	ChurnSeed   int64
 	HoldoutFrac float64
-	// EnablePCP restores Linux's per-CPU page (pcp) cache for the
-	// DEFAULT allocation path: uncolored order-0 requests are served
-	// from a small per-task batch cache refilled PCPBatch pages at a
-	// time from the zone. The paper's kernel disables the pcp list
-	// so order-0 requests reach the colored selection logic; this
-	// knob exists to ablate that design choice — colored requests
-	// bypass the pcp cache regardless, exactly as in the paper.
-	EnablePCP bool
-	// DisableTLB turns off the per-task simulated TLB so every
-	// Translate walks the region list and page table. The TLB is a
-	// pure fast path (a hit costs the same simulated time as a
-	// resident page-table lookup), so this knob changes wall-clock
-	// speed only; the differential tests use it to pin the TLB'd
-	// kernel against a TLB-less reference.
-	DisableTLB bool
 	// BuddyRemoteFrac models the imperfect NUMA locality of the
 	// default allocator on a busy system (paper Fig. 7: "one task
 	// may access a remote memory node under the buddy allocator"):
@@ -111,13 +96,6 @@ type Config struct {
 	// ladder of DESIGN.md Sec. 10 instead and only reports OOM once
 	// no free frame exists anywhere on the machine.
 	DisableDegrade bool
-	// DisableRadixPT restores the reference map-backed page tables so
-	// every process resolves vpages through a map[uint64]phys.Frame
-	// instead of the radix arrays of radixpt.go. The radix table is a
-	// pure representation change — same mappings, same outcomes — so
-	// this knob affects wall-clock speed only; the differential tests
-	// pin the two paths byte-identical (DESIGN.md Sec. 14).
-	DisableRadixPT bool
 	// DisableAdaptive is the reference mode for the adaptive policy
 	// engine (DESIGN.md Sec. 15): it makes Task.Repolicy refuse with
 	// ErrAdaptiveDisabled, so a run configured with it can never switch
@@ -133,10 +111,6 @@ type Config struct {
 // zone pressure is bursty, so placement luck applies to runs of
 // consecutive faults rather than to single pages.
 const RemoteChunkPages = 256
-
-// PCPBatch is the pcp-cache refill batch (pages), matching Linux's
-// default pcp->batch order of magnitude.
-const PCPBatch = 8
 
 // DefaultConfig returns fault costs roughly matching a Linux minor
 // fault (~1 us at 2 GHz) and a list refill.
@@ -156,9 +130,8 @@ type Stats struct {
 	Refills      uint64 // create_color_list invocations
 	RefillFrames uint64 // frames shattered into color lists
 	ColorMmaps   uint64 // color-protocol mmap calls
-	PCPHits      uint64 // default-path pages served from the pcp cache
 
-	// Simulated-TLB counters (zero when Config.DisableTLB).
+	// Simulated-TLB counters.
 	TLBHits       uint64 // Translate calls served by the TLB
 	TLBMisses     uint64 // Translate calls that walked the page table
 	TLBShootdowns uint64 // invalidation events (munmap/migrate pages, recolor flushes)
@@ -326,30 +299,6 @@ func splitmix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// nodeOrderFor returns node indices sorted by hop distance from core
-// (ties by node id): the zone fallback order of the default policy.
-func (k *Kernel) nodeOrderFor(core topology.CoreID) []int {
-	n := k.topo.Nodes()
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	// Insertion sort by (hops, id): n is tiny.
-	for i := 1; i < n; i++ {
-		for j := i; j > 0; j-- {
-			a, b := out[j-1], out[j]
-			ha := k.topo.Hops(core, topology.NodeID(a))
-			hb := k.topo.Hops(core, topology.NodeID(b))
-			if ha > hb || (ha == hb && a > b) {
-				out[j-1], out[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
-	return out
-}
-
 // Mapping returns the machine's physical address mapping.
 func (k *Kernel) Mapping() *phys.Mapping { return k.mapping }
 
@@ -400,11 +349,6 @@ func (k *Kernel) NewProcess() *Process {
 		k:      k,
 		id:     len(k.procs),
 		nextVA: vaBase,
-	}
-	if k.cfg.DisableRadixPT {
-		p.ptm = make(map[uint64]phys.Frame)
-	} else {
-		p.pt = new(RadixPT)
 	}
 	k.procs = append(k.procs, p)
 	return p
@@ -458,20 +402,10 @@ func (k *Kernel) allocPagesFor(t *Task) (phys.Frame, clock.Dur, Rung, error) {
 	return 0, cost, RungNone, ErrNoMemory
 }
 
-// allocDefault is the default (uncolored) path: pcp cache, then the
-// buddy zones local-first with BuddyRemoteFrac chunk diversion.
+// allocDefault is the default (uncolored) path: the buddy zones
+// local-first with BuddyRemoteFrac chunk diversion. There is no
+// per-CPU page cache in front of it, as in the paper's kernel.
 func (k *Kernel) allocDefault(t *Task) (phys.Frame, clock.Dur, bool) {
-	// pcp fast path: serve from the per-task page cache.
-	if k.cfg.EnablePCP {
-		if n := len(t.pcp); n > 0 {
-			f := t.pcp[n-1]
-			t.pcp = t.pcp[:n-1]
-			t.faultCount++
-			k.stats.BuddyPages++
-			k.stats.PCPHits++
-			return f, k.cfg.FaultCost, true
-		}
-	}
 	// Default policy: local zone first, then by hop distance —
 	// except for the fault chunks that BuddyRemoteFrac diverts
 	// to a remote zone (transient local pressure).
@@ -494,16 +428,6 @@ func (k *Kernel) allocDefault(t *Task) (phys.Frame, clock.Dur, bool) {
 	t.faultCount++
 	for _, n := range order {
 		if f, err := k.zones[n].Alloc(0); err == nil {
-			if k.cfg.EnablePCP {
-				// Batch-refill the pcp cache from the same zone.
-				for len(t.pcp) < PCPBatch-1 {
-					extra, err := k.zones[n].Alloc(0)
-					if err != nil {
-						break
-					}
-					t.pcp = append(t.pcp, k.zoneLo[n]+extra)
-				}
-			}
 			k.stats.BuddyPages++
 			return k.zoneLo[n] + f, k.cfg.FaultCost, true
 		}

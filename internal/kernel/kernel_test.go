@@ -771,65 +771,6 @@ func TestColorListSnapshot(t *testing.T) {
 	}
 }
 
-// Ablation: the pcp per-task page cache serves the default path but
-// never the colored path (the paper disables it so colored order-0
-// requests reach Algorithm 1).
-func TestPCPCacheAblation(t *testing.T) {
-	top := topology.Opteron6128()
-	m, err := phys.DefaultSeparable(testMem, top.Nodes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.EnablePCP = true
-	k, err := New(top, m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := k.NewProcess()
-	plain, err := p.NewTask(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	va, _ := plain.Mmap(0, 32*phys.PageSize, 0)
-	for i := uint64(0); i < 32; i++ {
-		if _, _, err := plain.Translate(va + i*phys.PageSize); err != nil {
-			t.Fatal(err)
-		}
-		f, _ := plain.FrameOfVA(va + i*phys.PageSize)
-		if n := m.NodeOfFrame(f); n != 0 {
-			t.Errorf("pcp page %d on node %d, want 0", i, n)
-		}
-	}
-	if hits := k.Stats().PCPHits; hits == 0 {
-		t.Error("pcp cache never hit on the default path")
-	}
-
-	// Colored task on the same kernel: never touches the pcp.
-	colored, err := p.NewTask(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bc := m.BankColorsOfNode(1)[0]
-	if _, err := colored.Mmap(uint64(bc)|SetMemColor, 0, ColorAlloc); err != nil {
-		t.Fatal(err)
-	}
-	before := k.Stats().PCPHits
-	va2, _ := colored.Mmap(0, 8*phys.PageSize, 0)
-	for i := uint64(0); i < 8; i++ {
-		if _, _, err := colored.Translate(va2 + i*phys.PageSize); err != nil {
-			t.Fatal(err)
-		}
-		f, _ := colored.FrameOfVA(va2 + i*phys.PageSize)
-		if got := m.FrameBankColor(f); got != bc {
-			t.Errorf("colored page %d has bank %d, want %d (pcp leaked into colored path?)", i, got, bc)
-		}
-	}
-	if k.Stats().PCPHits != before {
-		t.Error("colored path consumed pcp pages")
-	}
-}
-
 func TestUncoloredOutOfMemory(t *testing.T) {
 	// A machine with tiny memory: exhaust every zone through one
 	// task, then the next fault must fail cleanly with ErrNoMemory.

@@ -43,7 +43,7 @@ func (t *Task) Migrate(va, length uint64) (MigrateStats, error) {
 	end := va + length
 	for page := va &^ (phys.PageSize - 1); page < end; page += phys.PageSize {
 		vp := page >> phys.PageShift
-		old, ok := t.proc.ptLookup(vp)
+		old, ok := t.proc.pt.Lookup(vp)
 		if !ok {
 			continue // not resident; will be colored at first touch
 		}
@@ -62,7 +62,7 @@ func (t *Task) Migrate(va, length uint64) (MigrateStats, error) {
 		if err != nil {
 			return st, fmt.Errorf("kernel: Migrate at %#x: %w", page, err)
 		}
-		t.proc.ptInsert(vp, fresh)
+		t.proc.pt.Insert(vp, fresh)
 		if rung != RungNone {
 			k.registerLoan(fresh, t, vp, rung)
 		}

@@ -8,10 +8,8 @@ import "github.com/tintmalloc/tintmalloc/internal/phys"
 // vpage >> ptLeafBits; each leaf is a flat array of ptLeafSize frame
 // entries. Lookup is two array indexes and costs no hashing, no
 // pointer chasing beyond one leaf dereference, and no allocation —
-// the access pattern the Translate fast path wants, versus the
-// map[uint64]phys.Frame reference it replaces (kept behind
-// Config.DisableRadixPT and pinned byte-identical by
-// TestRadixPTDifferential).
+// the access pattern the Translate fast path wants. Its reference is
+// the plain map model of TestRadixPTDifferential and FuzzRadixPT.
 //
 // The root is biased: it covers only the chunk span actually mapped,
 // growing amortized-O(1) at either end on insert. Under the kernel's
@@ -140,8 +138,7 @@ func (r *RadixPT) Leaves() int {
 
 // Visit calls fn for every mapping in ascending vpage order. The
 // order is structural — root chunks ascend, entries within a leaf
-// ascend — so it is deterministic with no sorting pass, unlike the
-// map reference path, which must sort its keys.
+// ascend — so it is deterministic with no sorting pass.
 func (r *RadixPT) Visit(fn func(vp uint64, f phys.Frame)) {
 	for i, lf := range r.leaves {
 		if lf == nil {

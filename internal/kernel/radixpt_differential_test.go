@@ -1,330 +1,165 @@
-package kernel_test
+package kernel
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"github.com/tintmalloc/tintmalloc/internal/invariant"
-	"github.com/tintmalloc/tintmalloc/internal/kernel"
 	"github.com/tintmalloc/tintmalloc/internal/phys"
-	"github.com/tintmalloc/tintmalloc/internal/topology"
 )
 
-// Radix page-table differential test: the radix table is a pure
-// representation change, so a kernel running it must be
-// observationally identical to one booted with Config.DisableRadixPT
-// (the map reference) — same bases, same translations, same fault
-// costs, same errors, same VisitPages iteration — under arbitrary
-// interleavings of mmap, touch, munmap, recolor and migrate. The
-// suite-level counterpart (internal/suite TestRadixReferenceSuite
-// Differential) pins whole benchmark cells byte-identical at
-// -parallel 1 and 4.
+// Radix page-table differential tests: RadixPT against a plain map,
+// the representation it replaced and its only reference. One op
+// applier serves a seeded random log (TestRadixPTDifferential) and
+// fuzzed bytes (FuzzRadixPT). Ops insert, delete and look up vpages in
+// two clusters, one near 0 and one ptHighCluster pages up, so the
+// biased root grows in both directions. Every Delete and Lookup must
+// answer as the map does and Len must match it; the periodic whole
+// check also requires Visit to yield exactly the map's mappings in
+// strictly ascending vpage order (the order Process.VisitPages
+// promises) and Leaves to count exactly the chunks the map has
+// mappings in, so an emptied leaf is released.
 
-type ptTwin struct {
-	fast      *kernel.Kernel // radix page tables (default config)
-	ref       *kernel.Kernel // DisableRadixPT map reference
-	fastTasks []*kernel.Task
-	refTasks  []*kernel.Task
-	tproc     []int
-	regions   map[int][]tlbRegion
+const (
+	ptOpInsert = iota
+	ptOpDelete
+	ptOpLookup
+	numPTOps
+)
+
+// ptHighCluster is the vpage offset of the second cluster.
+const ptHighCluster = 1 << 21
+
+// ptModel pairs a RadixPT with its map reference.
+type ptModel struct {
+	pt  RadixPT
+	ref map[uint64]phys.Frame
 }
 
-func newPTTwin() (*ptTwin, error) {
-	top := topology.Opteron6128()
-	boot := func(disable bool) (*kernel.Kernel, error) {
-		m, err := phys.DefaultSeparable(256<<20, top.Nodes())
-		if err != nil {
-			return nil, err
+func newPTModel() *ptModel { return &ptModel{ref: map[uint64]phys.Frame{}} }
+
+// apply runs one op on the table and the map and compares answers.
+func (m *ptModel) apply(op int, vp uint64, f phys.Frame) error {
+	switch op {
+	case ptOpInsert:
+		m.pt.Insert(vp, f)
+		m.ref[vp] = f
+	case ptOpDelete:
+		_, want := m.ref[vp]
+		if got := m.pt.Delete(vp); got != want {
+			return fmt.Errorf("Delete(%#x) = %v, map says %v", vp, got, want)
 		}
-		cfg := kernel.DefaultConfig()
-		cfg.DisableRadixPT = disable
-		return kernel.New(top, m, cfg)
+		delete(m.ref, vp)
+	case ptOpLookup:
+		got, ok := m.pt.Lookup(vp)
+		want, wantOK := m.ref[vp]
+		if ok != wantOK || (ok && got != want) {
+			return fmt.Errorf("Lookup(%#x) = (%d, %v), map holds (%d, %v)", vp, got, ok, want, wantOK)
+		}
 	}
-	fast, err := boot(false)
-	if err != nil {
-		return nil, err
-	}
-	ref, err := boot(true)
-	if err != nil {
-		return nil, err
-	}
-	tw := &ptTwin{fast: fast, ref: ref, regions: map[int][]tlbRegion{}}
-	fp := []*kernel.Process{fast.NewProcess(), fast.NewProcess()}
-	rp := []*kernel.Process{ref.NewProcess(), ref.NewProcess()}
-	for _, tc := range []struct {
-		p    int
-		core topology.CoreID
-	}{{0, 0}, {0, 5}, {1, 10}} {
-		ft, err := fp[tc.p].NewTask(tc.core)
-		if err != nil {
-			return nil, err
-		}
-		rt, err := rp[tc.p].NewTask(tc.core)
-		if err != nil {
-			return nil, err
-		}
-		tw.fastTasks = append(tw.fastTasks, ft)
-		tw.refTasks = append(tw.refTasks, rt)
-		tw.tproc = append(tw.tproc, tc.p)
-	}
-	return tw, nil
-}
-
-func (tw *ptTwin) apply(o kop) error {
-	ti := o.task % len(tw.fastTasks)
-	ft, rt := tw.fastTasks[ti], tw.refTasks[ti]
-	proc := tw.tproc[ti]
-	regs := tw.regions[proc]
-	switch o.kind {
-	case opMmap:
-		pages := 1 + o.arg%16
-		fb, ferr := ft.Mmap(0, uint64(pages)*phys.PageSize, 0)
-		rb, rerr := rt.Mmap(0, uint64(pages)*phys.PageSize, 0)
-		if (ferr == nil) != (rerr == nil) {
-			return fmt.Errorf("mmap diverged: radix err %v, map err %v", ferr, rerr)
-		}
-		if ferr != nil {
-			return nil
-		}
-		if fb != rb {
-			return fmt.Errorf("mmap base diverged: radix %#x, map %#x", fb, rb)
-		}
-		tw.regions[proc] = append(regs, tlbRegion{base: fb, pages: pages})
-
-	case opTouch:
-		if len(regs) == 0 {
-			return nil
-		}
-		reg := regs[o.arg%len(regs)]
-		va := reg.base + uint64(o.page%reg.pages)*phys.PageSize
-		fpa, fcost, ferr := ft.Translate(va)
-		rpa, rcost, rerr := rt.Translate(va)
-		if (ferr == nil) != (rerr == nil) {
-			return fmt.Errorf("translate %#x diverged: radix err %v, map err %v", va, ferr, rerr)
-		}
-		if ferr != nil {
-			return nil
-		}
-		if fpa != rpa {
-			return fmt.Errorf("translate %#x: radix kernel says %#x, map reference says %#x", va, fpa, rpa)
-		}
-		if fcost != rcost {
-			return fmt.Errorf("translate %#x: radix charged %d cycles, map %d — the table must not change timing", va, fcost, rcost)
-		}
-
-	case opMunmap:
-		if len(regs) == 0 {
-			return nil
-		}
-		i := o.arg % len(regs)
-		reg := regs[i]
-		ferr := ft.Munmap(reg.base, uint64(reg.pages)*phys.PageSize)
-		rerr := rt.Munmap(reg.base, uint64(reg.pages)*phys.PageSize)
-		if (ferr == nil) != (rerr == nil) {
-			return fmt.Errorf("munmap [%#x,+%d) diverged: radix err %v, map err %v", reg.base, reg.pages, ferr, rerr)
-		}
-		if ferr == nil {
-			tw.regions[proc] = append(regs[:i:i], regs[i+1:]...)
-		}
-
-	case opSetBank, opClearBank, opSetLLC, opClearLLC:
-		m := tw.fast.Mapping()
-		var arg uint64
-		switch o.kind {
-		case opSetBank:
-			arg = uint64(o.arg%m.NumBankColors()) | kernel.SetMemColor
-		case opClearBank:
-			arg = uint64(o.arg%m.NumBankColors()) | kernel.ClearMemColor
-		case opSetLLC:
-			arg = uint64(o.arg%m.NumLLCColors()) | kernel.SetLLCColor
-		case opClearLLC:
-			arg = uint64(o.arg%m.NumLLCColors()) | kernel.ClearLLCColor
-		}
-		_, ferr := ft.Mmap(arg, 0, kernel.ColorAlloc)
-		_, rerr := rt.Mmap(arg, 0, kernel.ColorAlloc)
-		if (ferr == nil) != (rerr == nil) {
-			return fmt.Errorf("color op %#x diverged: radix err %v, map err %v", arg, ferr, rerr)
-		}
-
-	case opMigrate:
-		if len(regs) == 0 {
-			return nil
-		}
-		reg := regs[o.arg%len(regs)]
-		fst, ferr := ft.Migrate(reg.base, uint64(reg.pages)*phys.PageSize)
-		rst, rerr := rt.Migrate(reg.base, uint64(reg.pages)*phys.PageSize)
-		if (ferr == nil) != (rerr == nil) {
-			return fmt.Errorf("migrate [%#x,+%d) diverged: radix err %v, map err %v", reg.base, reg.pages, ferr, rerr)
-		}
-		if ferr == nil && fst != rst {
-			return fmt.Errorf("migrate stats diverged: radix %+v, map %+v", fst, rst)
-		}
+	if m.pt.Len() != len(m.ref) {
+		return fmt.Errorf("Len = %d, map holds %d", m.pt.Len(), len(m.ref))
 	}
 	return nil
 }
 
-// checkVisit compares the two kernels' page-table iterations entry by
-// entry: both must yield identical (vpage, frame) sequences in
-// ascending vpage order — the radix structurally, the map via its
-// sorted-keys pass.
-func (tw *ptTwin) checkVisit() error {
-	for pi := range tw.fast.Processes() {
-		type ent struct {
-			vp uint64
-			f  phys.Frame
+// check compares the whole table with the map.
+func (m *ptModel) check() error {
+	var err error
+	n := 0
+	var prev uint64
+	m.pt.Visit(func(vp uint64, f phys.Frame) {
+		want, ok := m.ref[vp]
+		switch {
+		case err != nil:
+		case n > 0 && vp <= prev:
+			err = fmt.Errorf("Visit yields vpage %#x after %#x, not in ascending order", vp, prev)
+		case !ok || want != f:
+			err = fmt.Errorf("Visit yields (%#x, %d), map holds (%d, %v)", vp, f, want, ok)
 		}
-		var fe, re []ent
-		tw.fast.Processes()[pi].VisitPages(func(vp uint64, f phys.Frame) { fe = append(fe, ent{vp, f}) })
-		tw.ref.Processes()[pi].VisitPages(func(vp uint64, f phys.Frame) { re = append(re, ent{vp, f}) })
-		if len(fe) != len(re) {
-			return fmt.Errorf("process %d: radix visits %d pages, map %d", pi, len(fe), len(re))
-		}
-		for i := range fe {
-			if fe[i] != re[i] {
-				return fmt.Errorf("process %d entry %d: radix (%#x,%d), map (%#x,%d)",
-					pi, i, fe[i].vp, fe[i].f, re[i].vp, re[i].f)
-			}
-			if i > 0 && fe[i].vp <= fe[i-1].vp {
-				return fmt.Errorf("process %d: radix visit order not strictly ascending at entry %d", pi, i)
-			}
-		}
+		prev = vp
+		n++
+	})
+	if err != nil {
+		return err
+	}
+	if n != len(m.ref) {
+		return fmt.Errorf("Visit yields %d mappings, map holds %d", n, len(m.ref))
+	}
+	chunks := map[uint64]bool{}
+	for vp := range m.ref {
+		chunks[vp>>ptLeafBits] = true
+	}
+	if m.pt.Leaves() != len(chunks) {
+		return fmt.Errorf("Leaves = %d, map has mappings in %d chunks", m.pt.Leaves(), len(chunks))
 	}
 	return nil
 }
 
 func TestRadixPTDifferential(t *testing.T) {
-	kinds := []int{
-		opMmap, opMmap, opTouch, opTouch, opTouch, opTouch,
-		opMunmap, opMunmap, opMigrate,
-		opSetBank, opClearBank, opSetLLC, opClearLLC,
-	}
 	for _, seed := range []int64{1, 2, 3, 4} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			tw, err := newPTTwin()
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := newPTModel()
 			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 600; i++ {
-				o := kop{
-					kind: kinds[rng.Intn(len(kinds))],
-					task: rng.Intn(3),
-					arg:  rng.Intn(1 << 16),
-					page: rng.Intn(1 << 16),
+			for i := 0; i < 4000; i++ {
+				// Sixteen vpages straddle each of eight leaf
+				// boundaries per cluster: few enough that leaves
+				// empty and are released, spread enough that the
+				// root grows and shrinks its span of live leaves.
+				vp := uint64(1+rng.Intn(8))*ptLeafSize - 8 + uint64(rng.Intn(16))
+				if rng.Intn(2) == 1 {
+					vp += ptHighCluster
 				}
-				if err := tw.apply(o); err != nil {
-					t.Fatalf("op %d %v: %v", i, o, err)
+				op := rng.Intn(numPTOps)
+				if err := m.apply(op, vp, phys.Frame(rng.Intn(1<<20))); err != nil {
+					t.Fatalf("op %d: %v", i, err)
 				}
-				if (i+1)%32 == 0 {
-					if err := tw.checkVisit(); err != nil {
-						t.Fatalf("after op %d %v: %v", i, o, err)
-					}
-					if err := invariant.Audit(tw.fast).Err(); err != nil {
-						t.Fatalf("after op %d %v: radix kernel: %v", i, o, err)
-					}
-					if err := invariant.Audit(tw.ref).Err(); err != nil {
-						t.Fatalf("after op %d %v: map reference kernel: %v", i, o, err)
+				if (i+1)%64 == 0 {
+					if err := m.check(); err != nil {
+						t.Fatalf("after op %d: %v", i, err)
 					}
 				}
 			}
-			if err := tw.checkVisit(); err != nil {
+			if err := m.check(); err != nil {
 				t.Fatal(err)
-			}
-			if fs, rs := tw.fast.Stats(), tw.ref.Stats(); fs != rs {
-				t.Errorf("stats diverged:\nradix %+v\nmap   %+v", fs, rs)
 			}
 		})
 	}
 }
 
-// FuzzRadixPT feeds encoded op interleavings to the radix/map kernel
-// twins with the invariant auditor armed, while the same bytes also
-// drive a bare RadixPT against a plain map model — so both the kernel
-// integration and the naked data structure are cross-checked against
-// the reference map on every input.
+// FuzzRadixPT drives a bare RadixPT and its map reference with the
+// same fuzzed op log.
 //
-// Encoding: 3 bytes per op [sel, arg, page]; sel%8 picks the kernel
-// op and (sel/8)%3 the task; for the bare-structure check the same
-// triple becomes insert/delete/lookup over a two-cluster vpage space
-// (a low cluster near 0 and a high one ~2^21 pages up) so the biased
-// root grows in both directions.
+// Encoding: 3 bytes per op [sel, arg, page]. sel%3 picks insert,
+// delete or lookup and sel/3 is the frame an insert maps. The vpage
+// is arg in leaf-sized stride page/2, plus ptHighCluster when page is
+// odd.
 func FuzzRadixPT(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 1, 0, 0, 1, 0, 1, 2, 0, 0})
 	f.Add([]byte{0, 15, 0, 3, 1, 0, 1, 0, 7, 7, 2, 0, 1, 0, 7, 2, 0, 0})
 	f.Add([]byte{3, 1, 0, 4, 2, 0, 0, 2, 0, 1, 0, 0, 7, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const maxOps = 64
-		tw, err := newPTTwin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var bare kernel.RadixPT
-		model := map[uint64]phys.Frame{}
-
+		const maxOps = 256
+		m := newPTModel()
 		for i := 0; i+2 < len(data) && i/3 < maxOps; i += 3 {
-			sel, arg, page := int(data[i]), int(data[i+1]), int(data[i+2])
-			o := kop{kind: sel % 8, task: (sel / 8) % 3, arg: arg, page: page}
-			if err := tw.apply(o); err != nil {
-				t.Fatalf("op %d %v: %v", i/3, o, err)
+			sel, arg, page := data[i], data[i+1], data[i+2]
+			vp := uint64(page/2)*ptLeafSize + uint64(arg)
+			if page%2 == 1 {
+				vp += ptHighCluster
+			}
+			if err := m.apply(int(sel%numPTOps), vp, phys.Frame(sel/numPTOps)); err != nil {
+				t.Fatalf("op %d: %v", i/3, err)
 			}
 			if (i/3+1)%16 == 0 {
-				if err := tw.checkVisit(); err != nil {
+				if err := m.check(); err != nil {
 					t.Fatalf("after op %d: %v", i/3, err)
 				}
-				if err := invariant.Audit(tw.fast).Err(); err != nil {
-					t.Fatalf("after op %d: radix kernel: %v", i/3, err)
-				}
-			}
-
-			// Bare-structure model check on the same bytes.
-			vp := uint64(arg)
-			if page%2 == 1 {
-				vp += 1 << 21 // high cluster: root must grow upward/downward
-			}
-			switch sel % 3 {
-			case 0:
-				fr := phys.Frame(page)
-				bare.Insert(vp, fr)
-				model[vp] = fr
-			case 1:
-				got := bare.Delete(vp)
-				_, want := model[vp]
-				if got != want {
-					t.Fatalf("bare Delete(%#x) = %v, model says %v", vp, got, want)
-				}
-				delete(model, vp)
-			case 2:
-				gf, gok := bare.Lookup(vp)
-				wf, wok := model[vp]
-				if gok != wok || (gok && gf != wf) {
-					t.Fatalf("bare Lookup(%#x) = (%d,%v), model (%d,%v)", vp, gf, gok, wf, wok)
-				}
-			}
-			if bare.Len() != len(model) {
-				t.Fatalf("bare Len %d, model %d", bare.Len(), len(model))
 			}
 		}
-		if err := tw.checkVisit(); err != nil {
+		if err := m.check(); err != nil {
 			t.Fatal(err)
-		}
-		if err := invariant.Audit(tw.fast).Err(); err != nil {
-			t.Fatalf("final audit (radix): %v", err)
-		}
-		if err := invariant.Audit(tw.ref).Err(); err != nil {
-			t.Fatalf("final audit (map reference): %v", err)
-		}
-		n := 0
-		bare.Visit(func(vp uint64, fr phys.Frame) {
-			if model[vp] != fr {
-				t.Fatalf("bare Visit(%#x) = %d, model %d", vp, fr, model[vp])
-			}
-			n++
-		})
-		if n != len(model) {
-			t.Fatalf("bare Visit yielded %d, model %d", n, len(model))
 		}
 	})
 }

@@ -51,10 +51,7 @@ type region struct {
 // using that task's coloring policy — the first-touch semantics the
 // paper's benchmark analysis relies on.
 //
-// The page table is the two-level radix array of radixpt.go; the
-// map-based table it replaced survives as the reference path behind
-// Config.DisableRadixPT (ptm non-nil), pinned byte-identical by
-// TestRadixPTDifferential. Exactly one of pt/ptm is live.
+// The page table is the two-level radix array of radixpt.go.
 //
 // regions is sorted by start, and starts are unique: bump allocation
 // appends in order and never reuses a virtual address. Munmap leaves
@@ -63,42 +60,11 @@ type region struct {
 type Process struct {
 	k       *Kernel
 	id      int
-	pt      *RadixPT              // radix page table (nil when ptm is live)
-	ptm     map[uint64]phys.Frame // reference map page table (DisableRadixPT)
-	regions []region              // sorted by start, tombstones included
-	dead    int                   // tombstones in regions
+	pt      RadixPT  // page table, shared by the process's tasks
+	regions []region // sorted by start, tombstones included
+	dead    int      // tombstones in regions
 	nextVA  uint64
 	tasks   []*Task
-}
-
-// ptLookup returns the frame mapped at vpage vp, if any.
-func (p *Process) ptLookup(vp uint64) (phys.Frame, bool) {
-	if p.ptm != nil {
-		f, ok := p.ptm[vp]
-		return f, ok
-	}
-	return p.pt.Lookup(vp)
-}
-
-// ptInsert maps vp to f.
-func (p *Process) ptInsert(vp uint64, f phys.Frame) {
-	if p.ptm != nil {
-		p.ptm[vp] = f
-		return
-	}
-	p.pt.Insert(vp, f)
-}
-
-// ptDelete unmaps vp, reporting whether a mapping existed.
-func (p *Process) ptDelete(vp uint64) bool {
-	if p.ptm != nil {
-		if _, ok := p.ptm[vp]; !ok {
-			return false
-		}
-		delete(p.ptm, vp)
-		return true
-	}
-	return p.pt.Delete(vp)
 }
 
 // ID returns the process identifier.
@@ -124,10 +90,8 @@ func (p *Process) NewTask(core topology.CoreID) (*Task, error) {
 		bankSet:   make([]bool, p.k.mapping.NumBankColors()),
 		llcSet:    make([]bool, p.k.mapping.NumLLCColors()),
 		nodeSet:   make([]bool, p.k.mapping.Nodes()),
-		nodeOrder: p.k.nodeOrderFor(core),
-	}
-	if !p.k.cfg.DisableTLB {
-		t.tlb = make([]tlbEntry, TLBEntries)
+		nodeOrder: p.k.topo.NodeOrder(core),
+		tlb:       make([]tlbEntry, TLBEntries),
 	}
 	p.k.nextTaskID++
 	p.tasks = append(p.tasks, t)
@@ -135,12 +99,7 @@ func (p *Process) NewTask(core topology.CoreID) (*Task, error) {
 }
 
 // MappedPages returns the number of resident pages.
-func (p *Process) MappedPages() int {
-	if p.ptm != nil {
-		return len(p.ptm)
-	}
-	return p.pt.Len()
-}
+func (p *Process) MappedPages() int { return p.pt.Len() }
 
 // findRegion returns the index of the entry, live or tombstone, whose
 // range holds va, or -1.
@@ -185,16 +144,15 @@ type Task struct {
 	llcColors   []int // sorted owned LLC colors
 	bankSet     []bool
 	llcSet      []bool
-	nodeSet     []bool       // nodes reachable through the owned bank colors
-	nodeOrder   []int        // zones in increasing hop distance from core
-	comboCursor int          // round-robin over owned color combinations
-	faultCount  uint64       // faults served; drives chunked placement luck
-	llcScan     int          // rotating LLC column for bank-only coloring
-	bankScan    int          // rotating bank offset for LLC-only coloring
-	bankOrder   []int        // cached local-first bank color scan order
-	pcp         []phys.Frame // per-task page cache (EnablePCP only)
-	tlb         []tlbEntry   // direct-mapped translation cache (nil when DisableTLB)
-	degraded    uint64       // ladder allocations charged to this task
+	nodeSet     []bool     // nodes reachable through the owned bank colors
+	nodeOrder   []int      // zones in increasing hop distance from core
+	comboCursor int        // round-robin over owned color combinations
+	faultCount  uint64     // faults served; drives chunked placement luck
+	llcScan     int        // rotating LLC column for bank-only coloring
+	bankScan    int        // rotating bank offset for LLC-only coloring
+	bankOrder   []int      // cached local-first bank color scan order
+	tlb         []tlbEntry // direct-mapped translation cache
+	degraded    uint64     // ladder allocations charged to this task
 	// compactCursor is the next virtual page the incremental
 	// misplaced-page scan of CompactStep resumes from (adaptive.go);
 	// reset by Repolicy, since a color change restarts the scan.
@@ -355,8 +313,8 @@ func (t *Task) Munmap(va, length uint64) error {
 		p.compactRegions()
 	}
 	for vp := va >> phys.PageShift; vp < end>>phys.PageShift; vp++ {
-		if f, ok := p.ptLookup(vp); ok {
-			p.ptDelete(vp)
+		if f, ok := p.pt.Lookup(vp); ok {
+			p.pt.Delete(vp)
 			p.shootdownPage(vp)
 			p.k.freeFrame(f)
 		}
@@ -368,7 +326,7 @@ func (t *Task) Munmap(va, length uint64) error {
 // task, faulting in a frame on first touch. The returned cost is the
 // simulated fault overhead (0 when the page was already resident).
 //
-// A TLB hit bypasses both the region check and the page-table map: an
+// A TLB hit bypasses both the region check and the page table: an
 // entry can only exist while its mapping does (shootdowns on munmap,
 // migrate and recolor keep it that way), and a hit costs the same
 // simulated time (zero) as a resident page-table walk, so the fast
@@ -376,45 +334,39 @@ func (t *Task) Munmap(va, length uint64) error {
 func (t *Task) Translate(va uint64) (phys.Addr, clock.Dur, error) {
 	p := t.proc
 	vp := va >> phys.PageShift
-	if t.tlb != nil {
-		if e := &t.tlb[vp&(TLBEntries-1)]; e.vp == vp {
-			p.k.stats.TLBHits++
-			return e.frame.Base() + phys.Addr(phys.Offset(phys.Addr(va))), 0, nil
-		}
-		p.k.stats.TLBMisses++
+	if e := &t.tlb[vp&(TLBEntries-1)]; e.vp == vp {
+		p.k.stats.TLBHits++
+		return e.frame.Base() + phys.Addr(phys.Offset(phys.Addr(va))), 0, nil
 	}
+	p.k.stats.TLBMisses++
 	if !p.mapped(va) {
 		return 0, 0, fmt.Errorf("%w: address %#x", ErrSegfault, va)
 	}
-	if f, ok := p.ptLookup(vp); ok {
-		if t.tlb != nil {
-			t.tlbInsert(vp, f)
-		}
+	if f, ok := p.pt.Lookup(vp); ok {
+		t.tlbInsert(vp, f)
 		return f.Base() + phys.Addr(phys.Offset(phys.Addr(va))), 0, nil
 	}
 	f, cost, rung, err := p.k.allocPagesFor(t)
 	if err != nil {
 		return 0, cost, err
 	}
-	p.ptInsert(vp, f)
+	p.pt.Insert(vp, f)
 	if rung != RungNone {
 		p.k.registerLoan(f, t, vp, rung)
 	}
-	if t.tlb != nil {
-		t.tlbInsert(vp, f)
-	}
+	t.tlbInsert(vp, f)
 	return f.Base() + phys.Addr(phys.Offset(phys.Addr(va))), cost, nil
 }
 
 // Resident reports whether the page holding va has a frame.
 func (t *Task) Resident(va uint64) bool {
-	_, ok := t.proc.ptLookup(va >> phys.PageShift)
+	_, ok := t.proc.pt.Lookup(va >> phys.PageShift)
 	return ok
 }
 
 // FrameOfVA returns the frame backing va, if resident.
 func (t *Task) FrameOfVA(va uint64) (phys.Frame, bool) {
-	return t.proc.ptLookup(va >> phys.PageShift)
+	return t.proc.pt.Lookup(va >> phys.PageShift)
 }
 
 // wantsNode reports whether any of the task's bank colors lives on

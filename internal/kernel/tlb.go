@@ -3,16 +3,17 @@ package kernel
 import "github.com/tintmalloc/tintmalloc/internal/phys"
 
 // Simulated per-task TLB: a direct-mapped translation cache in front
-// of the page-table map in Task.Translate. The TLB is a pure fast
-// path — a hit costs the same simulated time (zero) as a resident
-// page-table lookup, so enabling or disabling it never changes a
-// simulated outcome, only wall-clock cost. Coherence is maintained by
-// explicit shootdowns: Munmap and Migrate invalidate the moved vpages
-// in every task of the process (the page table is shared), and a
-// color-set change flushes the recoloring task's TLB outright, the
-// conservative model of a real recolor-triggered shootdown. The
-// invariant auditor cross-checks every live entry against the page
-// table after each kernel op in tests.
+// of the page table in Task.Translate. The TLB is a pure fast path —
+// a hit costs the same simulated time (zero) as a resident page-table
+// lookup, so it never changes a simulated outcome, only wall-clock
+// cost. Coherence is maintained by explicit shootdowns: Munmap and
+// Migrate invalidate the moved vpages in every task of the process
+// (the page table is shared), and a color-set change flushes the
+// recoloring task's TLB outright, the conservative model of a real
+// recolor-triggered shootdown. The page table is the TLB's reference:
+// the invariant auditor (check 4) compares every live entry with it,
+// and TestTLBShootdownDifferential compares every translation with it
+// after each touch.
 
 // TLBEntries is the number of entries in each task's simulated TLB —
 // sized like the 1024-entry L2 data TLB of the Opteron 6128. It must
@@ -42,9 +43,6 @@ func (t *Task) tlbInvalidate(vp uint64) {
 
 // tlbFlush drops every cached translation of the task.
 func (t *Task) tlbFlush() {
-	if t.tlb == nil {
-		return
-	}
 	clear(t.tlb)
 	t.proc.k.stats.TLBShootdowns++
 }
@@ -53,9 +51,6 @@ func (t *Task) tlbFlush() {
 // page table is shared, so any task may have the stale translation
 // cached.
 func (p *Process) shootdownPage(vp uint64) {
-	if p.k.cfg.DisableTLB {
-		return
-	}
 	for _, t := range p.tasks {
 		t.tlbInvalidate(vp)
 	}

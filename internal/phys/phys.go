@@ -35,6 +35,9 @@ const (
 	LineShift = 7
 	// LineSize is the cache line size in bytes.
 	LineSize = 1 << LineShift
+	// addrBits is the physical address width: select bits sit below
+	// it and installed memory fits under it.
+	addrBits = 48
 )
 
 // FrameOf returns the frame containing a.
@@ -129,6 +132,10 @@ func NewMapping(c MappingConfig) (*Mapping, error) {
 		return nil, fmt.Errorf("phys: MemBytes (%d) must be a positive multiple of Nodes (%d)",
 			c.MemBytes, c.Nodes)
 	}
+	if c.MemBytes > 1<<addrBits {
+		return nil, fmt.Errorf("phys: MemBytes (%d) exceeds the %d-bit physical address space",
+			c.MemBytes, addrBits)
+	}
 	nodeSize := c.MemBytes / uint64(c.Nodes)
 	if nodeSize%PageSize != 0 {
 		return nil, fmt.Errorf("phys: per-node size %d not page aligned", nodeSize)
@@ -143,7 +150,7 @@ func NewMapping(c MappingConfig) (*Mapping, error) {
 	}
 	for _, group := range [][]uint{c.ChannelBits, c.RankBits, c.BankBits} {
 		for _, b := range group {
-			if b >= 48 {
+			if b >= addrBits {
 				return nil, fmt.Errorf("phys: address bit %d out of range", b)
 			}
 		}

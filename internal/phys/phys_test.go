@@ -197,6 +197,10 @@ func TestMappingValidation(t *testing.T) {
 		{MemBytes: testMem, Nodes: 4, LLCBits: []uint{5}, RowShift: 14}, // below page shift
 		{MemBytes: testMem, Nodes: 4, LLCBits: []uint{12}, RowShift: 3}, // below line shift
 		{MemBytes: testMem, Nodes: 4, LLCBits: []uint{12}, BankBits: []uint{60}, RowShift: 14},
+		// One page past the 48-bit address space, and the 2^63 that
+		// uint64(x*(1<<30)) yields for a NaN, infinite or huge -mem.
+		{MemBytes: 1<<48 + 4*PageSize, Nodes: 4, LLCBits: []uint{12}, RowShift: 14},
+		{MemBytes: 1 << 63, Nodes: 4, LLCBits: []uint{12}, RowShift: 14},
 	}
 	for i, c := range cases {
 		if _, err := NewMapping(c); err == nil {

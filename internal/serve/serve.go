@@ -24,11 +24,17 @@
 //   - Backpressure is explicit: past a high-water mark of in-flight
 //     refill requests the shard rejects with ErrBusy instead of
 //     growing an unbounded queue — callers retry or shed load.
-//   - Exhaustion composes with the PR-4 degradation ladder: a drained
-//     shard borrows in the same rung order the sequential kernel walks
-//     (same-node unassigned color, local uncolored, remote), records
-//     every below-preferred frame as a loan, and reports ErrNoMemory
-//     only when no free frame exists on any shard.
+//   - Exhaustion composes with the kernel's degradation ladder: a
+//     drained shard borrows (a home-shard page of an unclaimed bank,
+//     then LLC, color; a home-shard zone frame; a home-shard parked
+//     page of any color, another client's claim included; then the
+//     other shards, zone frame before parked page), records every
+//     below-preferred frame as a loan under the kernel's rung names,
+//     and reports ErrNoMemory only when no free frame exists on any
+//     shard. The order differs from the sequential kernel's, which
+//     borrows on the task's coloring axis only and spends a same-node
+//     page of another task's color last, after every remote node
+//     (DESIGN.md Sec. 11.4).
 //
 // Determinism scope: a single client driving a single shard sees the
 // exact LIFO placement the sequential kernel would produce, and each
@@ -246,8 +252,8 @@ func (s *Server) Close() {
 }
 
 // NewClient registers a client pinned to the given core. The client's
-// node fallback order (for routing and the borrow ladder) follows the
-// same hop-distance rule as the kernel's default policy.
+// node fallback order (for routing and the borrow ladder) is
+// topology.NodeOrder, the order the kernel's tasks use.
 func (s *Server) NewClient(core topology.CoreID) (*Client, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
@@ -258,7 +264,7 @@ func (s *Server) NewClient(core topology.CoreID) (*Client, error) {
 	c := &Client{
 		srv:       s,
 		core:      core,
-		nodeOrder: nodeOrderFor(s.topo, core),
+		nodeOrder: s.topo.NodeOrder(core),
 	}
 	c.req.c = c
 	c.req.resp = make(chan refillResult, 1)
@@ -268,25 +274,6 @@ func (s *Server) NewClient(core topology.CoreID) (*Client, error) {
 	s.clients[c.id] = c
 	s.clientMu.Unlock()
 	return c, nil
-}
-
-// nodeOrderFor returns node indices sorted by hop distance from core
-// (ties by node id) — the zone fallback order of the default policy.
-func nodeOrderFor(topo *topology.Topology, core topology.CoreID) []int {
-	n := topo.Nodes()
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	sort.Slice(out, func(i, j int) bool {
-		hi := topo.Hops(core, topology.NodeID(out[i]))
-		hj := topo.Hops(core, topology.NodeID(out[j]))
-		if hi != hj {
-			return hi < hj
-		}
-		return out[i] < out[j]
-	})
-	return out
 }
 
 // Client is one allocation principal: a pinned thread with an
@@ -571,11 +558,13 @@ func (s *Server) finishAlloc(c *Client, f phys.Frame, rung kernel.Rung) {
 }
 
 // borrow walks the degradation ladder for a colored client whose home
-// shard came up empty, mirroring the sequential kernel's rung order
-// (DESIGN.md Sec. 10) across shards: same-shard unassigned color,
-// local uncolored zone frame, local parked page, then remote shards —
-// zone frames first, parked pages second. Callers must not hold any
-// shard's zone lock (the ladder takes them one at a time).
+// shard came up empty: a home-shard page of an unclaimed color
+// (RungBorrowColor), a home-shard zone frame, then a home-shard parked
+// page of any color (both RungLocalUncolored), then the other shards
+// in node order, zone frame before parked page (RungRemote). The
+// sequential kernel's order differs (DESIGN.md Sec. 11.4). Callers
+// must not hold any shard's zone lock (the ladder takes them one at a
+// time).
 func (s *Server) borrow(c *Client, home *shard) (phys.Frame, kernel.Rung, bool) {
 	if s.cfg.DisableBorrow {
 		return 0, kernel.RungNone, false

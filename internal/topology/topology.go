@@ -11,8 +11,10 @@
 package topology
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // NodeID identifies a memory node (equivalently: a memory controller).
@@ -175,6 +177,22 @@ func (t *Topology) CoresOfNode(n NodeID) []CoreID {
 // memory controller, measured in HyperTransport-style hops.
 func (t *Topology) Hops(c CoreID, n NodeID) int {
 	return t.hop[t.coreNode[c]][n]
+}
+
+// NodeOrder returns every node index sorted by hop distance from core
+// c, ties broken by node id: the zone fallback order of the default
+// allocation policy, which the kernel's tasks and the serving layer's
+// clients both use.
+func (t *Topology) NodeOrder(c CoreID) []int {
+	out := make([]int, t.Nodes())
+	for i := range out {
+		out[i] = i
+	}
+	slices.SortFunc(out, func(a, b int) int {
+		ha, hb := t.Hops(c, NodeID(a)), t.Hops(c, NodeID(b))
+		return cmp.Or(cmp.Compare(ha, hb), cmp.Compare(a, b))
+	})
+	return out
 }
 
 // NodeHops returns the controller-to-controller hop distance.

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -186,5 +187,36 @@ func TestStringer(t *testing.T) {
 	want := "topology{2 sockets, 4 nodes, 16 cores}"
 	if got != want {
 		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
+
+// TestNodeOrder pins the zone fallback order: nodes by hop distance
+// from the core, ties by node id.
+func TestNodeOrder(t *testing.T) {
+	custom, err := New(Config{
+		Sockets: 3, NodesPerSocket: 2, CoresPerNode: 2,
+		IntraNodeHops: 1, IntraSocketHops: 2, InterSocketHops: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		top  *Topology
+		core CoreID
+		want []int
+	}{
+		{Opteron6128(), 0, []int{0, 1, 2, 3}},
+		{Opteron6128(), 4, []int{1, 0, 2, 3}},
+		{Opteron6128(), 8, []int{2, 3, 0, 1}},
+		{Opteron6128(), 15, []int{3, 2, 0, 1}},
+		{custom, 0, []int{0, 1, 2, 3, 4, 5}},
+		{custom, 7, []int{3, 2, 0, 1, 4, 5}},
+		{custom, 9, []int{4, 5, 0, 1, 2, 3}},
+	}
+	for _, c := range cases {
+		got := c.top.NodeOrder(c.core)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%v NodeOrder(core %d) = %v, want %v", c.top, c.core, got, c.want)
+		}
 	}
 }
