@@ -52,7 +52,7 @@ bench-gate:
 
 # Zero-allocation gate, two halves (see CONTRIBUTING.md):
 #   1. The AllocsPerRun tests pin the serve colored fast path and the
-#      batched-refill round trip at exactly 0 allocs/op. They must
+#      miss path on a drained shard at exactly 0 allocs/op. They must
 #      run without -race (the race detector's instrumentation
 #      allocates; under -race they skip themselves).
 #   2. tintstat -exact-allocs checks the engine harness's measured

@@ -24,15 +24,11 @@ func TestValidateOptions(t *testing.T) {
 		{name: "zero mem", mutate: func(o *options) { o.memGiB = 0 }, wantErr: true},
 		{name: "NaN mem", mutate: func(o *options) { o.memGiB = math.NaN() }, wantErr: true},
 		{name: "infinite mem", mutate: func(o *options) { o.memGiB = math.Inf(1) }, wantErr: true},
-		{name: "negative queue", mutate: func(o *options) { o.queue = -1 }, wantErr: true},
 		{name: "negative highwater", mutate: func(o *options) { o.highwater = -1 }, wantErr: true},
-		{name: "negative batch", mutate: func(o *options) { o.batch = -1 }, wantErr: true},
 		{name: "negative stripes", mutate: func(o *options) { o.stripes = -1 }, wantErr: true},
-		{name: "highwater over explicit queue", mutate: func(o *options) { o.queue = 64; o.highwater = 65 }, wantErr: true},
-		{name: "highwater over default queue", mutate: func(o *options) { o.highwater = 257 }, wantErr: true},
-		{name: "highwater at explicit queue", mutate: func(o *options) { o.queue = 64; o.highwater = 64 }},
-		{name: "highwater at default queue", mutate: func(o *options) { o.highwater = 256 }},
-		{name: "explicit tuning accepted", mutate: func(o *options) { o.queue = 32; o.highwater = 24; o.batch = 8; o.stripes = 4 }},
+		{name: "highwater past int32", mutate: func(o *options) { o.highwater = math.MaxInt32 + 1 }, wantErr: true},
+		{name: "highwater at int32 max", mutate: func(o *options) { o.highwater = math.MaxInt32 }},
+		{name: "explicit tuning accepted", mutate: func(o *options) { o.highwater = 24; o.stripes = 4 }},
 	}
 	for _, c := range cases {
 		o := good

@@ -11,7 +11,7 @@
 //	tintserved                             # unix:tintserved.sock
 //	tintserved -listen unix:/tmp/tint.sock
 //	tintserved -listen tcp:127.0.0.1:7177
-//	tintserved -mem 4 -queue 64 -highwater 48
+//	tintserved -mem 4 -highwater 48
 //
 // SIGINT/SIGTERM shut the daemon down cleanly: listeners close, live
 // sessions are dropped and their frames reclaimed, and the cross-shard
@@ -39,9 +39,7 @@ import (
 type options struct {
 	listen    string
 	memGiB    float64
-	queue     int
 	highwater int
-	batch     int
 	stripes   int
 	noBorrow  bool
 }
@@ -72,15 +70,11 @@ func validate(o options) error {
 	if !(o.memGiB > 0) || math.IsInf(o.memGiB, 0) {
 		return fmt.Errorf("-mem %g: installed memory must be finite and positive", o.memGiB)
 	}
-	if o.queue < 0 || o.highwater < 0 || o.batch < 0 || o.stripes < 0 {
-		return fmt.Errorf("-queue/-highwater/-batch/-stripes must not be negative")
+	if o.highwater < 0 || o.stripes < 0 {
+		return fmt.Errorf("-highwater/-stripes must not be negative")
 	}
-	effQueue := o.queue
-	if effQueue == 0 {
-		effQueue = serve.DefaultQueueDepth
-	}
-	if o.highwater > effQueue {
-		return fmt.Errorf("-highwater %d exceeds queue depth %d", o.highwater, effQueue)
+	if o.highwater > math.MaxInt32 {
+		return fmt.Errorf("-highwater %d exceeds %d", o.highwater, math.MaxInt32)
 	}
 	if _, _, err := parseListen(o.listen); err != nil {
 		return err
@@ -92,9 +86,7 @@ func main() {
 	var o options
 	flag.StringVar(&o.listen, "listen", "unix:tintserved.sock", "transport spec: unix:PATH or tcp:HOST:PORT")
 	flag.Float64Var(&o.memGiB, "mem", 2, "installed physical memory in GiB")
-	flag.IntVar(&o.queue, "queue", 0, "refill queue depth per shard (0 = default)")
-	flag.IntVar(&o.highwater, "highwater", 0, "in-flight refill high-water mark (0 = 3/4 of queue)")
-	flag.IntVar(&o.batch, "batch", 0, "max refill requests amortized per batch (0 = default)")
+	flag.IntVar(&o.highwater, "highwater", 0, "concurrent refill misses per shard before ErrBusy (0 = default 192)")
 	flag.IntVar(&o.stripes, "stripes", 0, "lock stripes per shard's color lists (0 = default)")
 	flag.BoolVar(&o.noBorrow, "disable-borrow", false, "fail with ErrNoMemory instead of walking the cross-shard ladder")
 	flag.Parse()
@@ -113,9 +105,7 @@ func main() {
 		os.Exit(1)
 	}
 	d, err := wire.NewDaemon(topo, m, serve.Config{
-		QueueDepth:    o.queue,
 		HighWater:     o.highwater,
-		BatchMax:      o.batch,
 		Stripes:       o.stripes,
 		DisableBorrow: o.noBorrow,
 	})

@@ -50,12 +50,11 @@ func TestValidateOptions(t *testing.T) {
 		{name: "negative mem", mutate: func(o *options) { o.memGiB = -1 }, wantErr: true},
 		{name: "NaN mem", mutate: func(o *options) { o.memGiB = math.NaN() }, wantErr: true},
 		{name: "infinite mem", mutate: func(o *options) { o.memGiB = math.Inf(1) }, wantErr: true},
-		{name: "negative queue", mutate: func(o *options) { o.queue = -1 }, wantErr: true},
+		{name: "negative highwater", mutate: func(o *options) { o.highwater = -1 }, wantErr: true},
 		{name: "negative stripes", mutate: func(o *options) { o.stripes = -4 }, wantErr: true},
-		{name: "highwater over explicit queue", mutate: func(o *options) { o.queue = 64; o.highwater = 65 }, wantErr: true},
-		{name: "highwater over default queue", mutate: func(o *options) { o.highwater = 257 }, wantErr: true},
-		{name: "highwater at queue", mutate: func(o *options) { o.queue = 64; o.highwater = 64 }},
-		{name: "highwater at default queue", mutate: func(o *options) { o.highwater = 256 }},
+		{name: "highwater past int32", mutate: func(o *options) { o.highwater = math.MaxInt32 + 1 }, wantErr: true},
+		{name: "highwater at int32 max", mutate: func(o *options) { o.highwater = math.MaxInt32 }},
+		{name: "explicit tuning accepted", mutate: func(o *options) { o.highwater = 48; o.stripes = 4 }},
 		{name: "bad listen", mutate: func(o *options) { o.listen = "carrier-pigeon" }, wantErr: true},
 	}
 	for _, c := range cases {

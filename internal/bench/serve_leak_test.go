@@ -28,15 +28,14 @@ func waitGoroutines(t *testing.T, baseline int, what string) {
 
 // TestRunServeCellErrorPathsReleaseGoroutines is the regression for
 // the error-path shutdown bug: a cell that fails after the server has
-// started its workers must still tear them all down on the way out.
-// Every failure injected here happens after serve.New has spawned the
-// per-shard refill workers.
+// booted must still tear down everything it started on the way out.
+// Every failure injected here happens after serve.New has returned.
 func TestRunServeCellErrorPathsReleaseGoroutines(t *testing.T) {
 	const mem = 64 << 20
 	baseline := runtime.NumGoroutine()
 
 	// Plan failure: more clients than LLC colors. serve.New has
-	// already started its workers when policy.Plan rejects the fleet.
+	// already returned when policy.Plan rejects the fleet.
 	spec := ServeSpec{Name: "overcommit", Nodes: 1, Clients: 4096, Ops: 10}
 	if _, err := RunServeCell(spec, mem, serve.Config{}); err == nil {
 		t.Fatal("overcommitted plan accepted")

@@ -22,8 +22,8 @@ func ownerLabel(o uint8) string {
 // AuditServer cross-checks the sharded front-end's bookkeeping the
 // way Audit checks the sequential kernel's, with frame ownership
 // spread over shards and clients instead of zones and page tables.
-// The server must be quiescent (no in-flight Alloc/Free and no
-// pending refills) for the walk to be coherent.
+// The server must be quiescent (no in-flight Alloc/Free) for the walk
+// to be coherent.
 //
 // Checks 1-3 mirror Audit: color-hash correctness of every parked
 // frame against the bit-gather reference, single ownership of every

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -23,10 +24,9 @@ func newCloseTestServer(t *testing.T) *Server {
 	return s
 }
 
-// TestCloseIdempotent pins the repeated-shutdown contract: every
-// Close call — first, second, concurrent — returns only after the
-// refill workers have exited, and none panics on the already-closed
-// stop channel.
+// TestCloseIdempotent pins the repeated-shutdown contract: a second
+// Close neither panics on the already-closed stop channel nor lets
+// the closed server take new clients.
 func TestCloseIdempotent(t *testing.T) {
 	s := newCloseTestServer(t)
 	s.Close()
@@ -37,10 +37,10 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 // TestConcurrentClose races many Close calls against live allocation
-// traffic. Run under -race this is the satellite's real assertion:
-// no double channel close, no send on closed channel from a refill
-// enqueue that lost the race, and every closer blocks until workers
-// are gone.
+// traffic. Run under -race it checks that no closer double-closes the
+// stop channel, that a miss already running when Close lands
+// completes cleanly, and that every closer returns with the server
+// already refusing new work.
 func TestConcurrentClose(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		s := newCloseTestServer(t)
@@ -73,12 +73,53 @@ func TestConcurrentClose(t *testing.T) {
 				defer wg.Done()
 				s.Close()
 				// After any Close returns, the server must already be
-				// refusing new work: the workers are joined.
+				// refusing new work.
 				if _, err := s.NewClient(1); !errors.Is(err, ErrClosed) {
 					t.Errorf("NewClient after close: %v, want ErrClosed", err)
 				}
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// TestNoGoroutinesWithoutCompaction pins that a server without
+// compaction serves every miss in the allocating goroutine: New starts
+// no goroutine, misses start none, and Close leaves none behind.
+func TestNoGoroutinesWithoutCompaction(t *testing.T) {
+	topo := topology.Opteron6128()
+	m, err := phys.DefaultSeparable(64<<20, topo.Nodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	s, err := New(topo, m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("New started %d goroutines", n-before)
+	}
+	c, err := s.NewClient(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetColors(m.BankColorsOfNode(0)[:2], []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if _, err := c.Alloc(); err != nil {
+			t.Fatalf("alloc %d: %v", i, err)
+		}
+	}
+	if st := s.Stats(); st.Batches == 0 {
+		t.Fatal("no misses served; the loop did not reach the miss path")
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("misses left %d goroutines running", n-before)
+	}
+	s.Close()
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("Close left %d goroutines behind", n-before)
 	}
 }

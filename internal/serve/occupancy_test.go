@@ -61,7 +61,7 @@ func TestAuditFlagsClearedOccupancyBit(t *testing.T) {
 // TestParkProbeStress has clients sharing one small color claim park
 // and probe the same buckets at once, while uncolored clients probe
 // them through the ladder's any-parked rung. Hogs first take every
-// frame of nodes 1-3, so once the workers' refills dry node 0's zone
+// frame of nodes 1-3, so once the clients' refills dry node 0's zone
 // every miss walks the ladder over node 0's buckets. Afterwards the
 // hogs free their frames, which park on their buckets, and one client
 // drains the server; past the zones, only the any-parked rung reaches

@@ -4,9 +4,8 @@
 // serves colored order-0 allocations to many pinned threads at once;
 // internal/kernel reproduces the *policy* of that path faithfully but
 // serializes every call under the discrete-event engine. This package
-// supplies the missing serving architecture, in the spirit of
-// SpeedMalloc's dedicated allocation-serving core and Vertical Memory
-// Management's partitioned per-policy zones (PAPERS.md):
+// supplies the missing serving architecture, in the spirit of Vertical
+// Memory Management's partitioned per-policy zones (PAPERS.md):
 //
 //   - The machine's color space is sharded per NUMA node. Each shard
 //     owns a disjoint slice of the bank/LLC color matrix — the columns
@@ -16,14 +15,15 @@
 //   - Color lists are lock-striped: the (bank, LLC) buckets of a shard
 //     are guarded by a small array of stripe mutexes, so concurrent
 //     clients popping different colors do not serialize.
-//   - Refills are batched: a client that misses its color lists posts
-//     a request to the shard's bounded refill queue; the shard's
-//     worker drains the queue in batches and amortizes each
-//     create_color_list block shatter (paper Algorithm 2) across every
-//     waiting request it can satisfy.
-//   - Backpressure is explicit: past a high-water mark of in-flight
-//     refill requests the shard rejects with ErrBusy instead of
-//     growing an unbounded queue — callers retry or shed load.
+//   - A miss refills in the caller: a client that misses its color
+//     lists runs create_color_list (paper Algorithm 2) itself, under
+//     its shard's zone lock, shattering blocks onto the lists until one
+//     matches its claim — as the paper's kernel runs it inside the
+//     faulting task's page-fault path (Algorithm 1). One shatter parks
+//     a whole block, so the misses that follow hit the lists.
+//   - Backpressure is explicit: past a high-water mark of concurrent
+//     misses on a shard, a miss fails at once with ErrBusy instead of
+//     queueing on the zone lock — callers retry or shed load.
 //   - Exhaustion composes with the kernel's degradation ladder: a
 //     drained shard borrows (a home-shard page of an unclaimed bank,
 //     then LLC, color; a home-shard zone frame; a home-shard parked
@@ -51,6 +51,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -63,10 +64,10 @@ import (
 
 // Sentinel errors.
 var (
-	// ErrBusy reports backpressure: the shard's refill queue is past
-	// its high-water mark. The allocation was not attempted; callers
-	// retry or shed load.
-	ErrBusy = errors.New("serve: shard refill queue past high-water mark")
+	// ErrBusy reports backpressure: the shard is already serving
+	// HighWater color-list misses. The allocation was not attempted;
+	// callers retry or shed load.
+	ErrBusy = errors.New("serve: shard misses past high-water mark")
 	// ErrNoMemory reports machine-wide exhaustion: the borrow ladder
 	// swept every shard's zone and color lists and found nothing.
 	ErrNoMemory = errors.New("serve: out of memory on every shard")
@@ -78,25 +79,14 @@ var (
 	ErrNotOwner = errors.New("serve: freeing a frame the client does not own")
 )
 
-// DefaultQueueDepth is the per-shard refill queue depth a zero
-// Config.QueueDepth selects. Exported so command-line front-ends can
-// validate high-water marks against the depth that will actually be
-// used.
-const DefaultQueueDepth = 256
-
 // Config tunes the serving layer. The zero value selects defaults.
 type Config struct {
-	// QueueDepth bounds each shard's refill request queue (default 256).
-	QueueDepth int
-	// HighWater is the in-flight refill count above which the shard
-	// rejects with ErrBusy (default 3/4 of QueueDepth, clamped to
-	// [1, QueueDepth]).
+	// HighWater is the number of concurrent color-list misses per
+	// shard past which a miss fails with ErrBusy (default 192, at most
+	// math.MaxInt32).
 	HighWater int
-	// BatchMax bounds how many queued refill requests one worker batch
-	// drains and amortizes a block shatter across (default 32).
-	BatchMax int
 	// Stripes is the number of lock stripes over each shard's color
-	// buckets (default 16).
+	// buckets (default 16, at most a shard's bucket count).
 	Stripes int
 	// DisableBorrow turns off the cross-shard degradation ladder: a
 	// drained shard fails with ErrNoMemory even while other shards
@@ -110,26 +100,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = DefaultQueueDepth
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 32
-	}
 	if c.Stripes <= 0 {
 		c.Stripes = 16
 	}
 	if c.HighWater <= 0 {
-		c.HighWater = c.QueueDepth * 3 / 4
-	}
-	if c.HighWater < 1 {
-		c.HighWater = 1
-	}
-	// In-flight requests are capped at HighWater before they are
-	// enqueued, so HighWater <= QueueDepth guarantees the queue send
-	// never blocks a client.
-	if c.HighWater > c.QueueDepth {
-		c.HighWater = c.QueueDepth
+		c.HighWater = 192
 	}
 	return c
 }
@@ -187,14 +162,19 @@ type Server struct {
 
 // New boots a server over the machine: one shard per NUMA node, each
 // owning the node's frame range as a fresh buddy zone and the node's
-// slice of the bank-color space. Call Close when done to stop the
-// refill workers.
+// slice of the bank-color space. It starts no goroutine unless
+// cfg.CompactBudget is positive; call Close when done to stop the
+// compaction workers.
 func New(topo *topology.Topology, mapping *phys.Mapping, cfg Config) (*Server, error) {
 	if topo.Nodes() != mapping.Nodes() {
 		return nil, fmt.Errorf("serve: topology nodes %d != mapping nodes %d",
 			topo.Nodes(), mapping.Nodes())
 	}
 	cfg = cfg.withDefaults()
+	// The in-flight miss count is an int32.
+	if cfg.HighWater > math.MaxInt32 {
+		return nil, fmt.Errorf("serve: high-water mark %d exceeds %d", cfg.HighWater, math.MaxInt32)
+	}
 	nodes := mapping.Nodes()
 	framesPerNode := mapping.Frames() / uint64(nodes)
 	s := &Server{
@@ -221,10 +201,6 @@ func New(topo *topology.Topology, mapping *phys.Mapping, cfg Config) (*Server, e
 		}
 		s.shards = append(s.shards, sh)
 	}
-	for _, sh := range s.shards {
-		s.wg.Add(1)
-		go sh.worker(s)
-	}
 	if cfg.CompactBudget > 0 {
 		s.compactKick = make([]chan struct{}, len(s.shards))
 		for i := range s.shards {
@@ -236,13 +212,15 @@ func New(topo *topology.Topology, mapping *phys.Mapping, cfg Config) (*Server, e
 	return s, nil
 }
 
-// Close stops the refill workers. In-flight refill requests fail with
-// ErrClosed; outstanding frames stay recorded so a post-close audit
-// still balances. Close is idempotent and safe to call concurrently
-// with itself and with in-flight NewClient/Alloc calls: every caller
-// returns only after the workers have exited (sync.Once serializes
-// the stop-channel close, so a racing second Close can neither panic
-// on a double close nor return while workers still run).
+// Close stops the compaction workers, if any. NewClient and Alloc
+// calls made after Close fail with ErrClosed; a miss already being
+// served completes. Outstanding frames stay recorded so a post-close
+// audit still balances. Close is idempotent and safe to call
+// concurrently with itself and with in-flight NewClient/Alloc calls:
+// every caller returns only after the workers have exited (sync.Once
+// serializes the stop-channel close, so a racing second Close can
+// neither panic on a double close nor return while workers still
+// run).
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.closed.Store(true)
@@ -266,8 +244,6 @@ func (s *Server) NewClient(core topology.CoreID) (*Client, error) {
 		core:      core,
 		nodeOrder: s.topo.NodeOrder(core),
 	}
-	c.req.c = c
-	c.req.resp = make(chan refillResult, 1)
 	s.clientMu.Lock()
 	c.id = s.nextID
 	s.nextID++
@@ -300,15 +276,6 @@ type Client struct {
 	// so heap pages spread evenly, exactly as the kernel's comboCursor
 	// does; atomic so a client may be driven from several goroutines.
 	cursor atomic.Uint64
-
-	// req is the client's reusable refill request with its persistent
-	// one-slot response channel, so the miss path allocates nothing.
-	// reqBusy guards it: held from enqueue to result, and kept set
-	// forever if the request is abandoned at shutdown (the worker may
-	// still hold the pointer, so the slot must never be recycled —
-	// concurrent same-client misses fall back to a fresh allocation).
-	req     refillReq
-	reqBusy atomic.Bool
 
 	// relocate is the client's compaction swap callback (see
 	// SetRelocator); nil while the client opts out.
@@ -414,10 +381,10 @@ func (c *Client) Close() {
 
 // Alloc hands the client one order-0 frame under its color claim: the
 // concurrent Algorithm 1. Colored clients hit their shard's striped
-// color lists, fall back to a batched refill, and finally walk the
-// borrow ladder; uncolored clients take shard zones in node-fallback
-// order. Returns ErrBusy under backpressure (nothing was allocated)
-// and ErrNoMemory only on machine-wide exhaustion.
+// color lists, refill them on a miss, and finally walk the borrow
+// ladder; uncolored clients take shard zones in node-fallback order.
+// Returns ErrBusy under backpressure (nothing was allocated) and
+// ErrNoMemory only on machine-wide exhaustion.
 func (c *Client) Alloc() (phys.Frame, error) {
 	s := c.srv
 	if s.closed.Load() || c.retired.Load() {
@@ -478,8 +445,8 @@ func (c *Client) Realloc(old phys.Frame) (phys.Frame, error) {
 }
 
 // allocColored serves a colored client: striped-list fast path on the
-// routed shard, then a batched refill request, whose worker walks the
-// borrow ladder if the shard is drained.
+// routed shard, then, on a miss, a refill in this goroutine that walks
+// the borrow ladder if the shard is drained (shard.serveMiss).
 func (s *Server) allocColored(c *Client) (phys.Frame, error) {
 	seq := c.cursor.Add(1) - 1
 	sh := s.routeShard(c, seq)
@@ -488,7 +455,7 @@ func (s *Server) allocColored(c *Client) (phys.Frame, error) {
 		s.stats.coloredAllocs.Add(1)
 		return f, nil
 	}
-	f, rung, err := sh.requestRefill(c, seq, s)
+	f, rung, err := sh.serveMiss(c, seq, s)
 	if err != nil {
 		return 0, err
 	}

@@ -2,7 +2,11 @@ package serve
 
 import (
 	"errors"
+	"math"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/tintmalloc/tintmalloc/internal/kernel"
 	"github.com/tintmalloc/tintmalloc/internal/phys"
@@ -44,17 +48,50 @@ func coloredClient(t *testing.T, s *Server, m *phys.Mapping, top *topology.Topol
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.QueueDepth != 256 || c.BatchMax != 32 || c.Stripes != 16 {
-		t.Errorf("defaults = %+v", c)
+	if c.HighWater != 192 || c.Stripes != 16 {
+		t.Errorf("defaults = %+v, want HighWater 192, Stripes 16", c)
 	}
-	if c.HighWater != 192 {
-		t.Errorf("HighWater = %d, want 192", c.HighWater)
+	c = Config{HighWater: 7, Stripes: 3}.withDefaults()
+	if c.HighWater != 7 || c.Stripes != 3 {
+		t.Errorf("explicit values changed: %+v", c)
 	}
-	// HighWater is clamped into [1, QueueDepth] so the bounded queue
-	// send can never block.
-	c = Config{QueueDepth: 8, HighWater: 99}.withDefaults()
-	if c.HighWater != 8 {
-		t.Errorf("clamped HighWater = %d, want 8", c.HighWater)
+}
+
+// New rejects a stripe count past a shard's bucket count before it
+// allocates the stripe mutexes: extra stripes would guard nothing,
+// and a huge count would only exhaust memory.
+func TestNewRejectsStripesPastBuckets(t *testing.T) {
+	top := topology.Opteron6128()
+	m, err := phys.DefaultSeparable(testMem, top.Nodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	buckets := len(m.BankColorsOfNode(0)) * m.NumLLCColors()
+	s, err := New(top, m, Config{Stripes: buckets})
+	if err != nil {
+		t.Fatalf("Stripes at the bucket count %d: %v", buckets, err)
+	}
+	s.Close()
+	if _, err := New(top, m, Config{Stripes: buckets + 1}); err == nil {
+		t.Fatalf("Stripes %d past the bucket count %d accepted", buckets+1, buckets)
+	}
+}
+
+// New rejects a high-water mark the int32 miss counter cannot hold:
+// it would wrap negative and fail every miss with ErrBusy.
+func TestNewRejectsHighWaterPastInt32(t *testing.T) {
+	top := topology.Opteron6128()
+	m, err := phys.DefaultSeparable(testMem, top.Nodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(top, m, Config{HighWater: math.MaxInt32})
+	if err != nil {
+		t.Fatalf("HighWater at MaxInt32: %v", err)
+	}
+	s.Close()
+	if _, err := New(top, m, Config{HighWater: math.MaxInt32 + 1}); err == nil {
+		t.Fatal("HighWater past MaxInt32 accepted")
 	}
 }
 
@@ -145,10 +182,10 @@ func TestSingleClientDeterministic(t *testing.T) {
 }
 
 func TestBackpressureErrBusy(t *testing.T) {
-	s, m, top := testServer(t, Config{QueueDepth: 8, HighWater: 4})
+	s, m, top := testServer(t, Config{HighWater: 4})
 	c := coloredClient(t, s, m, top, 0)
 	// Saturate the home shard's in-flight counter by hand: the next
-	// miss must be rejected without touching the queue.
+	// miss must be rejected without touching the zone.
 	sh := s.routeShard(c, 0)
 	sh.pending.Store(int32(s.cfg.HighWater))
 	_, err := c.Alloc()
@@ -163,9 +200,56 @@ func TestBackpressureErrBusy(t *testing.T) {
 		t.Fatalf("Alloc after drain: %v", err)
 	}
 	// Rejection left the counter balanced: pending returns to zero
-	// once the successful request completes.
+	// once the successful miss completes.
 	if got := sh.pending.Load(); got != 0 {
 		t.Errorf("pending = %d after quiesce, want 0", got)
+	}
+}
+
+// Misses waiting on a shard's zone lock count against HighWater: with
+// HighWater misses parked on zoneMu, the next miss fails at once with
+// ErrBusy, and the count drains to zero once the waiters finish.
+func TestBackpressureConcurrentMisses(t *testing.T) {
+	const hw = 3
+	s, m, top := testServer(t, Config{HighWater: hw})
+	c := coloredClient(t, s, m, top, 0)
+	sh := s.shards[0]
+	sh.zoneMu.Lock()
+	var wg sync.WaitGroup
+	errs := make([]error, hw)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = c.Alloc()
+		}(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for sh.pending.Load() < hw {
+		if time.Now().After(deadline) {
+			n := sh.pending.Load()
+			sh.zoneMu.Unlock()
+			wg.Wait()
+			t.Fatalf("%d of %d misses counted while waiting on zoneMu", n, hw)
+		}
+		runtime.Gosched()
+	}
+	_, err := c.Alloc()
+	sh.zoneMu.Unlock()
+	wg.Wait()
+	if !errors.Is(err, ErrBusy) {
+		t.Errorf("miss past %d waiting misses = %v, want ErrBusy", hw, err)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("waiting miss %d: %v", i, err)
+		}
+	}
+	if got := sh.pending.Load(); got != 0 {
+		t.Errorf("pending = %d after the waiters finished, want 0", got)
+	}
+	if got := s.Stats().Rejected; got != 1 {
+		t.Errorf("Rejected = %d, want 1", got)
 	}
 }
 
@@ -303,9 +387,9 @@ func TestClosedServerRejects(t *testing.T) {
 	s.Close() // idempotent
 }
 
-// The refill worker batches queued misses and amortizes block
-// shatters across them: far fewer shatters than refill requests.
-func TestBatchedRefillAmortizes(t *testing.T) {
+// One block shatter parks a whole block on the color lists, so the
+// misses that follow hit the lists: far fewer shatters than misses.
+func TestRefillAmortizes(t *testing.T) {
 	s, m, top := testServer(t, Config{})
 	c := coloredClient(t, s, m, top, 3)
 	for i := 0; i < 400; i++ {
@@ -314,15 +398,15 @@ func TestBatchedRefillAmortizes(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.Batches == 0 || st.BatchedReqs < st.Batches {
-		t.Errorf("batch counters inconsistent: %+v", st)
+	if st.Batches == 0 || st.BatchedReqs != st.Batches {
+		t.Errorf("miss counters inconsistent: %+v", st)
 	}
 	if st.RefillFrames < st.Refills {
 		t.Errorf("refill counters inconsistent: %+v", st)
 	}
-	// A shatter parks 2^order frames at once, so misses per shatter
-	// amortize well below one-to-one.
-	if st.Refills > st.BatchedReqs {
-		t.Errorf("refills %d exceed refill requests %d: no amortization", st.Refills, st.BatchedReqs)
+	// A shatter parks 2^order frames at once, so shatters stay well
+	// below one per miss.
+	if st.Refills >= st.Batches {
+		t.Errorf("refills %d not below misses %d: no amortization", st.Refills, st.Batches)
 	}
 }

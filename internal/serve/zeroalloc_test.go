@@ -10,15 +10,14 @@ import (
 // Zero-allocation gates for the serving hot paths (DESIGN.md Sec. 14).
 // Both tests drive the public Alloc/Free surface to a deterministic
 // steady state and then require exactly 0 allocs/op from
-// testing.AllocsPerRun, which counts mallocs from every goroutine —
-// the shard workers included. The measured loops are repeated manually
-// first because AllocsPerRun performs only one warmup run, and
-// one-time amortized costs (color-bucket capacity, sudog caches, the
-// worker's batch scratch) need a few rounds to settle.
+// testing.AllocsPerRun, which counts mallocs from every goroutine.
+// The measured loops are repeated manually first because
+// AllocsPerRun performs only one warmup run, and one-time amortized
+// costs (color-bucket capacity) need a few rounds to settle.
 //
-// The gates assert shard batch counters too, so each test proves it
-// exercised the path it claims to gate: the fast-path test must never
-// wake a worker, the refill test must wake one every iteration.
+// The gates assert the shard's miss counter too, so each test proves
+// it exercised the path it claims to gate: the fast-path test must
+// never miss, the miss test must miss every iteration.
 
 // mustZeroAllocs runs AllocsPerRun and fails unless the loop is
 // allocation-free. Under the race detector the instrumentation itself
@@ -62,7 +61,7 @@ func TestZeroAllocColoredFastPath(t *testing.T) {
 		}
 	}
 
-	batchesBefore := sh.batches.Load()
+	missesBefore := sh.misses.Load()
 	mustZeroAllocs(t, "colored alloc/free", func() {
 		f, err := c.Alloc()
 		if err != nil {
@@ -72,21 +71,21 @@ func TestZeroAllocColoredFastPath(t *testing.T) {
 			t.Fatalf("free: %v", err)
 		}
 	})
-	if d := sh.batches.Load() - batchesBefore; d != 0 {
-		t.Fatalf("fast-path loop triggered %d refill batches; lists were not warm", d)
+	if d := sh.misses.Load() - missesBefore; d != 0 {
+		t.Fatalf("fast-path loop missed %d times; lists were not warm", d)
 	}
 }
 
-// TestZeroAllocBatchedRefill gates the refill round trip: request
-// enqueue, worker batch assembly, serveBatch, and delivery must not
-// allocate at steady state. Node 0 is drained completely under
-// DisableBorrow so the first Alloc of every iteration is a guaranteed
-// popMatch miss that rides the full worker path (and comes back
-// ErrNoMemory — the zone is dry and borrowing is off); the iteration
-// then frees and re-allocates one held frame so the state entering the
-// next iteration is identical. No drift, no ladder, no loan-map
-// insert.
-func TestZeroAllocBatchedRefill(t *testing.T) {
+// TestZeroAllocInlineMiss gates the miss path: the high-water check,
+// the zone-locked retry of the color lists, the failed shatter and
+// the ErrNoMemory return must not allocate. Node 0 is drained
+// completely under DisableBorrow so the first Alloc of every iteration
+// is a guaranteed popMatch miss that runs serveMiss end to end (and
+// comes back ErrNoMemory — the zone is dry and borrowing is off); the
+// iteration then frees and re-allocates one held frame so the state
+// entering the next iteration is identical. No drift, no ladder, no
+// loan-map insert.
+func TestZeroAllocInlineMiss(t *testing.T) {
 	s, m, top := testServer(t, Config{DisableBorrow: true})
 	c, err := s.NewClient(top.CoresOfNode(0)[0])
 	if err != nil {
@@ -115,13 +114,13 @@ func TestZeroAllocBatchedRefill(t *testing.T) {
 	f := held[0]
 
 	sh := s.shards[0]
-	batchesBefore := sh.batches.Load()
+	missesBefore := sh.misses.Load()
 	iters := 0
-	mustZeroAllocs(t, "batched refill round trip", func() {
+	mustZeroAllocs(t, "inline miss on a drained shard", func() {
 		iters++
 		// Guaranteed miss: nothing matching is parked and the zone is
-		// dry, so this request crosses the queue, is batched by the
-		// worker, fails shatterLocked, and is delivered ErrNoMemory.
+		// dry, so serveMiss retries the lists, fails shatterLocked, and
+		// returns ErrNoMemory.
 		if _, err := c.Alloc(); !errors.Is(err, ErrNoMemory) {
 			t.Fatalf("want ErrNoMemory from drained shard, got %v", err)
 		}
@@ -135,8 +134,8 @@ func TestZeroAllocBatchedRefill(t *testing.T) {
 		}
 		f = got
 	})
-	if d := int(sh.batches.Load() - batchesBefore); d < iters {
-		t.Fatalf("only %d refill batches over %d iterations; misses did not reach the worker", d, iters)
+	if d := int(sh.misses.Load() - missesBefore); d < iters {
+		t.Fatalf("only %d misses over %d iterations; the loop did not reach serveMiss", d, iters)
 	}
 }
 
