@@ -314,13 +314,15 @@ func main() {
 	// The adaptive engine showcase (DESIGN.md Sec. 15) runs on its own
 	// dedicated machine — small, single-node, aged — rather than the
 	// shared -mem one: the experiment's point is capacity pressure, and
-	// its knobs are absolute so -scale cannot wash it out. Every cell
-	// runs twice (byte-identical or the run fails), the clean adaptive
-	// cell is rerun under the migrate-flaky fault plan, and Check()
-	// enforces the acceptance criteria: adaptive beats every static
-	// policy on runtime with fewer degraded allocations than static MEM.
+	// RunAdaptiveMatrix runs at scale 1 whatever -scale says, since
+	// heteromix scales two of its sizes and a smaller mix never makes
+	// the classifier switch. Every cell runs twice (byte-identical or
+	// the run fails), the clean adaptive cell is rerun under the
+	// migrate-flaky fault plan, and Check() enforces the acceptance
+	// criteria: adaptive beats every static policy on runtime with
+	// fewer degraded allocations than static MEM.
 	run("adaptive", func() error {
-		amach, err := bench.NewAdaptiveMachine(false)
+		amach, err := bench.NewAdaptiveMachine()
 		if err != nil {
 			return err
 		}

@@ -82,10 +82,10 @@ func benchExperiments(memBytes uint64, params workload.Params, repeats int) ([]p
 			// Sequential by design (the engine re-decides policies at
 			// phase barriers, so cells cannot fan out); workers is
 			// ignored and the counters stay identical across -parallel
-			// values. The workload's knobs are absolute, so -scale does
-			// not change the ops either — exactly what the exact-ops
-			// regression gate wants from a deterministic series.
-			amach, err := bench.NewAdaptiveMachine(false)
+			// values. RunAdaptiveMatrix runs at scale 1 whatever -scale
+			// says, so -scale does not change the ops either, and the
+			// series stays exactly what the exact-ops gate compares.
+			amach, err := bench.NewAdaptiveMachine()
 			if err != nil {
 				return 0, 0, err
 			}

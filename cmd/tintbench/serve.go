@@ -174,6 +174,30 @@ func churnSweep(w io.Writer, specs []bench.ChurnSpec, samples int,
 	return recs, nil
 }
 
+// comparableServe returns the 4_nodes_16_clients records of the
+// previous report and this run, or the reason they are not comparable:
+// the reports differ in host CPUs, ops per client or samples, either
+// lacks the record, or the two records counted different ops.
+func comparableServe(prev, cur *benchfmt.ServeReport) (before, after *benchfmt.ServeRecord, why string) {
+	switch {
+	case prev.HostCPUs != cur.HostCPUs:
+		return nil, nil, fmt.Sprintf("it ran on %d host cpus, this run on %d", prev.HostCPUs, cur.HostCPUs)
+	case prev.OpsPerClient != cur.OpsPerClient:
+		return nil, nil, fmt.Sprintf("it ran %d ops per client, this run %d", prev.OpsPerClient, cur.OpsPerClient)
+	case prev.Samples != cur.Samples:
+		return nil, nil, fmt.Sprintf("it took %d samples, this run %d", prev.Samples, cur.Samples)
+	}
+	before = benchfmt.FindServeRecord(prev.Records, "4_nodes_16_clients")
+	after = benchfmt.FindServeRecord(cur.Records, "4_nodes_16_clients")
+	switch {
+	case before == nil || after == nil || before.OpsPerSec <= 0:
+		return nil, nil, "no 4_nodes_16_clients record in both reports"
+	case before.Ops != after.Ops:
+		return nil, nil, fmt.Sprintf("its 4_nodes_16_clients cell counted %d ops, this run %d", before.Ops, after.Ops)
+	}
+	return before, after, ""
+}
+
 func runServeHarness(w io.Writer, outPath string, memBytes uint64, opsPerClient, samples int,
 	cfg serve.Config) error {
 	if samples < 1 {
@@ -228,17 +252,19 @@ func runServeHarness(w io.Writer, outPath string, memBytes uint64, opsPerClient,
 	}
 	rep.ChurnRecords = churnRecs
 
-	// Fold the previous report in as the baseline, as the engine
-	// harness does for BENCH_engine.json.
+	// Fold the previous report in as the baseline, and compare the
+	// 4-node cell with it when the two runs are comparable, as the
+	// engine harness does for BENCH_engine.json.
 	if data, err := os.ReadFile(outPath); err == nil {
 		var prev benchfmt.ServeReport
 		if json.Unmarshal(data, &prev) == nil && len(prev.Records) > 0 {
 			rep.Baseline = prev.Records
-			before := benchfmt.FindServeRecord(prev.Records, "4_nodes_16_clients")
-			if before != nil && four != nil && before.OpsPerSec > 0 {
-				rep.SpeedupVsBaseline = four.OpsPerSec / before.OpsPerSec
+			if before, after, why := comparableServe(&prev, rep); why != "" {
+				fmt.Fprintf(w, "no comparison with previous %s: %s\n", outPath, why)
+			} else {
+				rep.SpeedupVsBaseline = after.OpsPerSec / before.OpsPerSec
 				fmt.Fprintf(w, "vs previous %s: 4_nodes_16_clients ops/sec %.0f -> %.0f (%.2fx)\n",
-					outPath, before.OpsPerSec, four.OpsPerSec, rep.SpeedupVsBaseline)
+					outPath, before.OpsPerSec, after.OpsPerSec, rep.SpeedupVsBaseline)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 // Package guardedby turns "this mutex guards that field" comments
 // into machine-checked contracts. A struct field annotated
 //
-//	loans map[phys.Frame]Loan //tintvet:guardedby loanMu
+//	clients map[int]*Client //tintvet:guardedby clientMu
 //
 // (or with the directive on its own line above the field) may only be
 // read or written while the named sibling mutex is held. The check is

@@ -5,8 +5,8 @@
 // (lockorder, guardedby, goroleak) driven by cmd/tintvet.
 //
 // Lock identity is type-based, not instance-based: the lock acquired
-// by `s.loanMu.Lock()` is keyed "Server.loanMu" — the declared type
-// of the selector's base plus the field name — so summaries compose
+// by `s.clientMu.Lock()` is keyed "Server.clientMu" — the declared
+// type of the selector's base plus the field name — so summaries compose
 // across functions without variable renaming, at the cost of
 // conflating distinct instances of one struct type. Index
 // expressions collapse: `sh.stripes[i].Lock()` keys as

@@ -30,9 +30,10 @@ import (
 
 // Adaptive experiment sizing. The machine is deliberately small and
 // all threads share one node: per-thread color capacity is what the
-// streamers must overflow, and the numbers below put the three
-// heteromix roles on three different sides of the classifier's
-// thresholds at ANY params scale (the workload knobs are absolute).
+// streamers must overflow. The streamer footprint below is absolute;
+// heteromix scales its reuser's hot array and its churner's
+// replacement count with Params.Scale, which is why RunAdaptiveMatrix
+// runs at scale 1 whatever it is given.
 const (
 	adaptiveMemBytes    = 64 << 20 // 16 MiB per node (the PCI decode minimum); node 0 is the arena
 	adaptiveStreamBytes = 8 << 20  // per-streamer footprint: 2048 pages
@@ -205,10 +206,7 @@ func (d *adaptiveDriver) barrier(phase string) (clock.Dur, error) {
 	return cost, nil
 }
 
-// RunAdaptive executes one cell. The machine's kernel config decides
-// reference mode: a DisableAdaptive kernel refuses Repolicy, so
-// opts.Adaptive=true against it fails loudly rather than silently
-// running static.
+// RunAdaptive executes one cell.
 func RunAdaptive(mach *Machine, opts AdaptiveOptions) (AdaptiveRow, error) {
 	name := opts.Initial.String()
 	if opts.Adaptive {
@@ -342,8 +340,8 @@ func staticPolicies() []policy.Policy {
 
 // NewAdaptiveMachine builds the harness's dedicated machine: small
 // enough that the heteromix streamers overflow every per-thread color
-// budget, with reference mode (DisableAdaptive) selectable.
-func NewAdaptiveMachine(disable bool) (*Machine, error) {
+// budget.
+func NewAdaptiveMachine() (*Machine, error) {
 	mach, err := NewMachine(MachineOptions{MemBytes: adaptiveMemBytes})
 	if err != nil {
 		return nil, err
@@ -354,12 +352,12 @@ func NewAdaptiveMachine(disable bool) (*Machine, error) {
 	// one time in four. Colored placement is immune to the decay —
 	// that asymmetry is exactly what the colored early epochs buy.
 	mach.KernCfg.BuddyRemoteFrac = 0.25
-	mach.KernCfg.DisableAdaptive = disable
 	return mach, nil
 }
 
-// AdaptiveWorkload is the harness's heteromix instance (absolute
-// knobs, so the capacity pressure is independent of -scale).
+// AdaptiveWorkload is the harness's heteromix instance. Its streamer
+// footprint is absolute; the reuser's hot array and the churner's
+// replacement count scale with Params.Scale.
 func AdaptiveWorkload() workload.Workload {
 	return workload.HeteroMix(workload.HeteroSpec{
 		StreamBytes: adaptiveStreamBytes,
@@ -370,8 +368,12 @@ func AdaptiveWorkload() workload.Workload {
 // RunAdaptiveMatrix runs the showcase: heteromix under every static
 // policy and under the adaptive engine, each cell twice (determinism)
 // with the auditor at every barrier, plus one chaos rerun of the
-// adaptive cell under `plan` when non-nil.
+// adaptive cell under `plan` when non-nil. It takes only the seed
+// from params and runs at scale 1: a smaller hot array and fewer
+// churner replacements put the roles on the wrong side of the
+// classifier's thresholds, and the engine then never switches.
 func RunAdaptiveMatrix(mach *Machine, params workload.Params, plan *fault.Plan) (*AdaptiveResult, error) {
+	params.Scale = 1
 	cfg, err := ConfigByName(mach.Topo, adaptiveConfig)
 	if err != nil {
 		return nil, err

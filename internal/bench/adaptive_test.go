@@ -1,19 +1,17 @@
 package bench
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
 	"github.com/tintmalloc/tintmalloc/internal/fault"
-	"github.com/tintmalloc/tintmalloc/internal/kernel"
 	"github.com/tintmalloc/tintmalloc/internal/policy"
 	"github.com/tintmalloc/tintmalloc/internal/workload"
 )
 
 func adaptiveParams() workload.Params {
-	// The harness workload's knobs are absolute; Scale only affects
-	// the churner's replacement count.
+	// Scale 1, the scale RunAdaptiveMatrix pins: heteromix scales its
+	// reuser's hot array and its churner's replacement count with it.
 	return workload.Params{Seed: 1, Scale: 1}
 }
 
@@ -24,7 +22,7 @@ func adaptiveParams() workload.Params {
 // included) green at every barrier of every cell, each cell run twice
 // and compared field-for-field.
 func TestAdaptiveMatrix(t *testing.T) {
-	mach, err := NewAdaptiveMachine(false)
+	mach, err := NewAdaptiveMachine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,6 +37,35 @@ func TestAdaptiveMatrix(t *testing.T) {
 	for i := range res.Rows {
 		if res.Rows[i].Audits == 0 {
 			t.Errorf("row %s ran without audits", res.Rows[i].Policy)
+		}
+	}
+}
+
+// TestAdaptiveMatrixIgnoresScale runs the matrix the way the bench
+// harness does, migrate-flaky row included, at the scales the harness
+// and CI pass: every row must equal the scale-1 row and Check must
+// pass at each scale.
+func TestAdaptiveMatrixIgnoresScale(t *testing.T) {
+	plan := migrateFlakyPlan(t)
+	run := func(scale float64) *AdaptiveResult {
+		mach, err := NewAdaptiveMachine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunAdaptiveMatrix(mach, workload.Params{Seed: 1, Scale: scale}, &plan)
+		if err != nil {
+			t.Fatalf("scale %g: %v", scale, err)
+		}
+		if err := res.Check(); err != nil {
+			res.WriteTable(testWriter{t})
+			t.Fatalf("scale %g: %v", scale, err)
+		}
+		return res
+	}
+	want := run(1)
+	for _, scale := range []float64{0.02, 0.1} {
+		if got := run(scale); !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Errorf("scale %g rows differ from scale 1:\n got %+v\nwant %+v", scale, got.Rows, want.Rows)
 		}
 	}
 }
@@ -82,7 +109,7 @@ func TestAdaptiveHomogeneousByteIdentical(t *testing.T) {
 				StreamBytes: 8 << 20,
 				Epochs:      4,
 			})
-			mach, err := NewAdaptiveMachine(false)
+			mach, err := NewAdaptiveMachine()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,54 +142,12 @@ func TestAdaptiveHomogeneousByteIdentical(t *testing.T) {
 	}
 }
 
-// TestAdaptiveDisabledReference pins the reference mode: a
-// DisableAdaptive kernel refuses the engine loudly, and with the
-// engine off its static path is byte-identical to a stock kernel's.
-func TestAdaptiveDisabledReference(t *testing.T) {
-	ref, err := NewAdaptiveMachine(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := ConfigByName(ref.Topo, adaptiveConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl := AdaptiveWorkload()
-	_, err = RunAdaptive(ref, AdaptiveOptions{
-		Workload: wl, Config: cfg, Params: adaptiveParams(),
-		Initial: policy.MEMLLC, Adaptive: true, CompactBudget: AdaptiveCompactBudget,
-	})
-	if !errors.Is(err, kernel.ErrAdaptiveDisabled) {
-		t.Fatalf("adaptive engine on a DisableAdaptive kernel: err = %v, want ErrAdaptiveDisabled", err)
-	}
-
-	refRow, err := RunAdaptive(ref, AdaptiveOptions{
-		Workload: wl, Config: cfg, Params: adaptiveParams(), Initial: policy.MEMLLC,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stock, err := NewAdaptiveMachine(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stockRow, err := RunAdaptive(stock, AdaptiveOptions{
-		Workload: wl, Config: cfg, Params: adaptiveParams(), Initial: policy.MEMLLC,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(refRow, stockRow) {
-		t.Fatalf("DisableAdaptive changed the static path:\nref   %+v\nstock %+v", refRow, stockRow)
-	}
-}
-
 // TestAdaptiveChaos reruns the adaptive cell under the migrate-flaky
 // plan: injected migration faults must degrade compaction gracefully
 // (failed moves stay loaned, retried later) with the auditor still
 // green at every barrier and the run still deterministic.
 func TestAdaptiveChaos(t *testing.T) {
-	mach, err := NewAdaptiveMachine(false)
+	mach, err := NewAdaptiveMachine()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,7 +168,7 @@ func TestGoldenChurn(t *testing.T) {
 		}
 	}
 
-	amach, err := bench.NewAdaptiveMachine(false)
+	amach, err := bench.NewAdaptiveMachine()
 	if err != nil {
 		t.Fatal(err)
 	}

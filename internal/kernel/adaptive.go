@@ -40,13 +40,9 @@ const compactScanFloor = 1024
 // other tasks that the new claims invalidate are demoted to the
 // remote rung so check 5's exclusivity accounting stays exact.
 // Resident pages are not migrated; CompactStep moves them
-// incrementally. Fails with ErrAdaptiveDisabled under
-// Config.DisableAdaptive (the static reference mode).
+// incrementally.
 func (t *Task) Repolicy(bank, llc []int) error {
 	k := t.proc.k
-	if k.cfg.DisableAdaptive {
-		return ErrAdaptiveDisabled
-	}
 	for _, c := range bank {
 		if c < 0 || c >= k.mapping.NumBankColors() {
 			return fmt.Errorf("%w: memory color %d (have %d)", ErrBadColor, c, k.mapping.NumBankColors())

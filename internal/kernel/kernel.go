@@ -49,9 +49,6 @@ var (
 	ErrSegfault = errors.New("kernel: segmentation fault")
 	// ErrNoMemory reports buddy exhaustion on the uncolored path.
 	ErrNoMemory = errors.New("kernel: out of memory")
-	// ErrAdaptiveDisabled reports a Task.Repolicy call on a kernel
-	// booted with Config.DisableAdaptive (the static reference mode).
-	ErrAdaptiveDisabled = errors.New("kernel: adaptive repolicy disabled")
 )
 
 // Config tunes the simulated costs of kernel operations.
@@ -96,15 +93,6 @@ type Config struct {
 	// ladder of DESIGN.md Sec. 10 instead and only reports OOM once
 	// no free frame exists anywhere on the machine.
 	DisableDegrade bool
-	// DisableAdaptive is the reference mode for the adaptive policy
-	// engine (DESIGN.md Sec. 15): it makes Task.Repolicy refuse with
-	// ErrAdaptiveDisabled, so a run configured with it can never switch
-	// a task's colors or run barrier compaction behind the
-	// experimenter's back. The adaptive driver (internal/bench) checks
-	// the knob before installing its barrier hook; the differential
-	// tests pin a DisableAdaptive run byte-identical to the static
-	// policies it started from.
-	DisableAdaptive bool
 }
 
 // RemoteChunkPages is the fault-chunk granularity of BuddyRemoteFrac:

@@ -201,6 +201,25 @@ func TestVRRAuxQueueBeatsReadyQueue(t *testing.T) {
 	if !rest1 {
 		t.Fatalf("woken task 0 did not preempt task 1's remainder: trace %v", be.trace)
 	}
+
+	// A block that leaves exactly one op of quantum. Tick 0: task 0
+	// runs ops 1-7 and blocks. Tick 1: it wakes into the auxiliary
+	// queue, runs op 8 ahead of task 1, and is preempted right after.
+	be = &fakeBackend{}
+	specs = []Spec{
+		{Ops: 10, BlockEvery: 7, BlockFor: 1},
+		{Ops: 40},
+	}
+	res, err = Run(Config{Policy: VRR, Quantum: 8}, specs, be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(be.trace) < 9 || be.trace[7] != 0 || be.trace[8] != 1 {
+		t.Fatalf("leftover quantum of 1: trace %v, want task 0 for exactly one op after its block, then task 1", be.trace)
+	}
+	if tr := res.Tasks[0]; tr.Blocks != 1 || tr.Preemptions != 1 || tr.Dispatches != 3 {
+		t.Fatalf("leftover quantum of 1: task 0 %+v, want 1 block, 1 preemption, 3 dispatches", tr)
+	}
 }
 
 func TestArrivalsAdmitInTickOrder(t *testing.T) {

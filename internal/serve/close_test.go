@@ -25,20 +25,19 @@ func newCloseTestServer(t *testing.T) *Server {
 }
 
 // TestCloseIdempotent pins the repeated-shutdown contract: a second
-// Close neither panics on the already-closed stop channel nor lets
-// the closed server take new clients.
+// Close neither panics nor lets the closed server take new clients.
 func TestCloseIdempotent(t *testing.T) {
 	s := newCloseTestServer(t)
 	s.Close()
-	s.Close() // regression: second close used to double-close s.stop
+	s.Close()
 	if _, err := s.NewClient(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("NewClient after close: %v, want ErrClosed", err)
 	}
 }
 
 // TestConcurrentClose races many Close calls against live allocation
-// traffic. Run under -race it checks that no closer double-closes the
-// stop channel, that a miss already running when Close lands
+// traffic. Run under -race it checks that the closed mark is set
+// without a data race, that a miss already running when Close lands
 // completes cleanly, and that every closer returns with the server
 // already refusing new work.
 func TestConcurrentClose(t *testing.T) {
@@ -83,10 +82,10 @@ func TestConcurrentClose(t *testing.T) {
 	}
 }
 
-// TestNoGoroutinesWithoutCompaction pins that a server without
-// compaction serves every miss in the allocating goroutine: New starts
-// no goroutine, misses start none, and Close leaves none behind.
-func TestNoGoroutinesWithoutCompaction(t *testing.T) {
+// TestNoGoroutines pins that the server serves every miss in the
+// allocating goroutine: New starts no goroutine, misses start none,
+// and Close leaves none behind.
+func TestNoGoroutines(t *testing.T) {
 	topo := topology.Opteron6128()
 	m, err := phys.DefaultSeparable(64<<20, topo.Nodes())
 	if err != nil {

@@ -194,8 +194,11 @@ func differentialKernelVsServe(t *testing.T, newMapping mapper) {
 
 // hammer churns the server from every core at once: colored clients
 // under a 16-way MEM+LLC plan plus allocation/free churn, tolerating
-// backpressure, then a full drain and audit. Run under -race in CI.
-func hammer(t *testing.T, newMapping mapper, cfg serve.Config, opsPerClient int) {
+// backpressure, then a full drain and audit. With narrow set, each
+// colored client claims one bank and one LLC color of its share, so
+// churn keeps the borrow ladder and its loan marks busy. Run under
+// -race in CI.
+func hammer(t *testing.T, newMapping mapper, cfg serve.Config, opsPerClient int, narrow bool) {
 	t.Helper()
 	top, m := bootPair(t, newMapping)
 	cores := make([]topology.CoreID, top.Cores())
@@ -223,7 +226,11 @@ func hammer(t *testing.T, newMapping mapper, cfg serve.Config, opsPerClient int)
 		// uncolored, so colored, default and ladder paths all run
 		// concurrently.
 		if i%2 == 0 {
-			if err := c.SetColors(asn[i].BankColors, asn[i].LLCColors); err != nil {
+			bank, llc := asn[i].BankColors, asn[i].LLCColors
+			if narrow {
+				bank, llc = bank[:1], llc[:1]
+			}
+			if err := c.SetColors(bank, llc); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -239,6 +246,9 @@ func hammer(t *testing.T, newMapping mapper, cfg serve.Config, opsPerClient int)
 			t.Fatalf("client %d: %v", i, err)
 		}
 	}
+	if narrow && s.Stats().DegradedAllocs() == 0 {
+		t.Fatal("narrow claims never reached the borrow ladder")
+	}
 
 	r := auditServerClean(t, s)
 	if r.Mapped != 0 {
@@ -251,7 +261,16 @@ func hammer(t *testing.T, newMapping mapper, cfg serve.Config, opsPerClient int)
 
 func TestHammerDefaults(t *testing.T) {
 	forEachMapper(t, func(t *testing.T, newMapping mapper) {
-		hammer(t, newMapping, serve.Config{}, 400)
+		hammer(t, newMapping, serve.Config{}, 400, false)
+	})
+}
+
+// Colored clients that claim one bank and one LLC color overflow the
+// claim at once, so the clients' churn races loan marks being set and
+// settled on the ladder's frames.
+func TestHammerNarrowClaims(t *testing.T) {
+	forEachMapper(t, func(t *testing.T, newMapping mapper) {
+		hammer(t, newMapping, serve.Config{}, 400, true)
 	})
 }
 
@@ -261,7 +280,7 @@ func TestHammerDefaults(t *testing.T) {
 // drives it deterministically.
 func TestHammerTinyQueues(t *testing.T) {
 	forEachMapper(t, func(t *testing.T, newMapping mapper) {
-		hammer(t, newMapping, serve.Config{HighWater: 2, Stripes: 2}, 250)
+		hammer(t, newMapping, serve.Config{HighWater: 2, Stripes: 2}, 250, false)
 	})
 }
 

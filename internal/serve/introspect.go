@@ -13,9 +13,6 @@ type serverStats struct {
 	allocs, frees                atomic.Uint64
 	coloredAllocs, defaultAllocs atomic.Uint64
 	borrows                      [kernel.NumRungs]atomic.Uint64
-	compactPasses                atomic.Uint64
-	compactMoved                 atomic.Uint64
-	compactDeclined              atomic.Uint64
 }
 
 // Stats is a point-in-time snapshot of serving counters. Counters
@@ -35,10 +32,6 @@ type Stats struct {
 	Rejected      uint64 // ErrBusy rejections (backpressure)
 	Parked        uint64 // frames currently on color lists
 	FreeFrames    uint64 // frames currently in buddy zones
-
-	CompactPasses   uint64 // compaction passes across all shards
-	CompactMoved    uint64 // loans migrated home and settled
-	CompactDeclined uint64 // swaps refused by client relocators
 }
 
 // DegradedAllocs sums the borrow rungs.
@@ -53,20 +46,15 @@ func (st Stats) DegradedAllocs() uint64 {
 // Stats snapshots the serving counters.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Allocs:          s.stats.allocs.Load(),
-		Frees:           s.stats.frees.Load(),
-		ColoredPages:    s.stats.coloredAllocs.Load(),
-		DefaultAllocs:   s.stats.defaultAllocs.Load(),
-		CompactPasses:   s.stats.compactPasses.Load(),
-		CompactMoved:    s.stats.compactMoved.Load(),
-		CompactDeclined: s.stats.compactDeclined.Load(),
+		Allocs:        s.stats.allocs.Load(),
+		Frees:         s.stats.frees.Load(),
+		ColoredPages:  s.stats.coloredAllocs.Load(),
+		DefaultAllocs: s.stats.defaultAllocs.Load(),
+		Loans:         int(s.loans.Load()),
 	}
 	for i := range st.Borrows {
 		st.Borrows[i] = s.stats.borrows[i].Load()
 	}
-	s.loanMu.Lock()
-	st.Loans = len(s.loans)
-	s.loanMu.Unlock()
 	for _, sh := range s.shards {
 		st.Refills += sh.refills.Load()
 		st.RefillFrames += sh.refillFrames.Load()
@@ -149,22 +137,20 @@ func (s *Server) VisitOutstanding(fn func(f phys.Frame, clientID int)) {
 // (parked on a color list, or handed out through one).
 func (s *Server) ColoredFrame(f phys.Frame) bool { return s.colored[f].Load() }
 
-// VisitLoans visits outstanding loans in ascending frame order.
+// LoanRung returns the rung frame f is on loan from (RungNone when it
+// is not on loan).
+func (s *Server) LoanRung(f phys.Frame) kernel.Rung {
+	return kernel.Rung(s.rungOf[f].Load() - 1)
+}
+
+// VisitLoans visits every loan mark in ascending frame order with the
+// holder's client ID (-1 when no client holds the frame, which only a
+// corrupt mark can produce).
 func (s *Server) VisitLoans(fn func(f phys.Frame, clientID int, rung kernel.Rung)) {
-	s.loanMu.Lock()
-	frames := make([]phys.Frame, 0, len(s.loans))
-	for f := range s.loans {
-		frames = append(frames, f)
-	}
-	loans := make(map[phys.Frame]Loan, len(s.loans))
-	for f, l := range s.loans {
-		loans[f] = l
-	}
-	s.loanMu.Unlock()
-	sort.Slice(frames, func(i, j int) bool { return frames[i] < frames[j] })
-	for _, f := range frames {
-		l := loans[f]
-		fn(f, l.Client.id, l.Rung)
+	for f := range s.rungOf {
+		if v := s.rungOf[f].Load(); v != 0 {
+			fn(phys.Frame(f), int(s.owners[f].Load())-1, kernel.Rung(v-1))
+		}
 	}
 }
 

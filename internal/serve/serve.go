@@ -35,6 +35,11 @@
 //     borrows on the task's coloring axis only and spends a same-node
 //     page of another task's color last, after every remote node
 //     (DESIGN.md Sec. 11.4).
+//   - A loan is the rung mark on its frame plus the frame's owner; a
+//     gauge counts the marks. Nothing moves a loaned frame: it stays
+//     where the ladder put it until its holder frees it. The package
+//     starts no goroutine, so every request, a miss included, runs in
+//     the caller's.
 //
 // Determinism scope: a single client driving a single shard sees the
 // exact LIFO placement the sequential kernel would produce, and each
@@ -92,11 +97,6 @@ type Config struct {
 	// drained shard fails with ErrNoMemory even while other shards
 	// have free frames (the paper-faithful fail-hard mode).
 	DisableBorrow bool
-	// CompactBudget, when positive, starts one background compaction
-	// worker per shard; each KickCompact pass attempts up to this many
-	// loan migrations per shard (see CompactShard). Zero — the default
-	// — starts no workers and leaves every allocation path untouched.
-	CompactBudget int
 }
 
 func (c Config) withDefaults() Config {
@@ -107,13 +107,6 @@ func (c Config) withDefaults() Config {
 		c.HighWater = 192
 	}
 	return c
-}
-
-// Loan records one frame handed out below preferred placement by the
-// borrow ladder: who holds it and which rung it came from.
-type Loan struct {
-	Client *Client
-	Rung   kernel.Rung
 }
 
 // Server is the sharded allocation front-end. All methods are safe
@@ -137,11 +130,11 @@ type Server struct {
 	assignedBank []atomic.Int32
 	assignedLLC  []atomic.Int32
 
-	loanMu sync.Mutex
-	loans  map[phys.Frame]Loan //tintvet:guardedby loanMu
-	// rungOf[f] is rung+1 while a loan for f exists; 0 otherwise. It
-	// keeps the free fast path off loanMu when nothing is loaned.
+	// A loan is a frame the borrow ladder handed out below preferred
+	// placement. rungOf[f] is rung+1 while frame f is on loan, 0
+	// otherwise; owners[f] names the borrower. loans counts the marks.
 	rungOf []atomic.Int32
+	loans  atomic.Int64
 
 	// clients holds the live clients by ID; Client.Close removes one.
 	// IDs are never reused.
@@ -149,22 +142,14 @@ type Server struct {
 	clients  map[int]*Client //tintvet:guardedby clientMu
 	nextID   int             //tintvet:guardedby clientMu
 
-	// compactKick has one buffered kick channel per shard while
-	// background compaction is enabled; nil when disabled.
-	compactKick []chan struct{}
-
-	closed    atomic.Bool
-	closeOnce sync.Once
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	stats     serverStats
+	closed atomic.Bool
+	stats  serverStats
 }
 
 // New boots a server over the machine: one shard per NUMA node, each
 // owning the node's frame range as a fresh buddy zone and the node's
-// slice of the bank-color space. It starts no goroutine unless
-// cfg.CompactBudget is positive; call Close when done to stop the
-// compaction workers.
+// slice of the bank-color space. It starts no goroutine: every
+// request, misses included, is served in the caller's goroutine.
 func New(topo *topology.Topology, mapping *phys.Mapping, cfg Config) (*Server, error) {
 	if topo.Nodes() != mapping.Nodes() {
 		return nil, fmt.Errorf("serve: topology nodes %d != mapping nodes %d",
@@ -185,10 +170,8 @@ func New(topo *topology.Topology, mapping *phys.Mapping, cfg Config) (*Server, e
 		colored:      make([]atomic.Bool, mapping.Frames()),
 		assignedBank: make([]atomic.Int32, mapping.NumBankColors()),
 		assignedLLC:  make([]atomic.Int32, mapping.NumLLCColors()),
-		loans:        make(map[phys.Frame]Loan),
 		rungOf:       make([]atomic.Int32, mapping.Frames()),
 		clients:      make(map[int]*Client),
-		stop:         make(chan struct{}),
 	}
 	for n := 0; n < nodes; n++ {
 		zone, err := buddy.New(framesPerNode)
@@ -201,33 +184,16 @@ func New(topo *topology.Topology, mapping *phys.Mapping, cfg Config) (*Server, e
 		}
 		s.shards = append(s.shards, sh)
 	}
-	if cfg.CompactBudget > 0 {
-		s.compactKick = make([]chan struct{}, len(s.shards))
-		for i := range s.shards {
-			s.compactKick[i] = make(chan struct{}, 1)
-			s.wg.Add(1)
-			go s.compactor(i)
-		}
-	}
 	return s, nil
 }
 
-// Close stops the compaction workers, if any. NewClient and Alloc
-// calls made after Close fail with ErrClosed; a miss already being
-// served completes. Outstanding frames stay recorded so a post-close
-// audit still balances. Close is idempotent and safe to call
-// concurrently with itself and with in-flight NewClient/Alloc calls:
-// every caller returns only after the workers have exited (sync.Once
-// serializes the stop-channel close, so a racing second Close can
-// neither panic on a double close nor return while workers still
-// run).
-func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		s.closed.Store(true)
-		close(s.stop)
-	})
-	s.wg.Wait()
-}
+// Close marks the server closed: NewClient and Alloc calls made after
+// Close fail with ErrClosed, and a miss already being served
+// completes. Free still works, so holders can hand frames back, and
+// outstanding frames stay recorded so a post-close audit balances.
+// Close is idempotent and safe to call concurrently with itself and
+// with in-flight NewClient/Alloc calls.
+func (s *Server) Close() { s.closed.Store(true) }
 
 // NewClient registers a client pinned to the given core. The client's
 // node fallback order (for routing and the borrow ladder) is
@@ -276,10 +242,6 @@ type Client struct {
 	// so heap pages spread evenly, exactly as the kernel's comboCursor
 	// does; atomic so a client may be driven from several goroutines.
 	cursor atomic.Uint64
-
-	// relocate is the client's compaction swap callback (see
-	// SetRelocator); nil while the client opts out.
-	relocate atomic.Pointer[RelocateFunc]
 }
 
 // ID returns the client identifier (unique across the server).
@@ -408,9 +370,7 @@ func (c *Client) Free(f phys.Frame) error {
 		return ErrNotOwner
 	}
 	if s.rungOf[f].Swap(0) != 0 {
-		s.loanMu.Lock()
-		delete(s.loans, f)
-		s.loanMu.Unlock()
+		s.loans.Add(-1)
 	}
 	s.stats.frees.Add(1)
 	sh := s.shards[s.mapping.NodeOfFrame(f)]
@@ -509,19 +469,17 @@ func (s *Server) allocDefault(c *Client) (phys.Frame, error) {
 	return 0, ErrNoMemory
 }
 
-// finishAlloc records ownership (and, for ladder frames, the loan)
-// for a frame about to be handed to c.
+// finishAlloc records the loan, for a ladder frame, and then
+// ownership of a frame about to be handed to c. The mark goes first,
+// so a Free that wins the ownership CAS always finds it.
 func (s *Server) finishAlloc(c *Client, f phys.Frame, rung kernel.Rung) {
+	if rung != kernel.RungNone {
+		s.rungOf[f].Store(int32(rung) + 1)
+		s.loans.Add(1)
+		s.stats.borrows[rung].Add(1)
+	}
 	s.owners[f].Store(int32(c.id) + 1)
 	s.stats.allocs.Add(1)
-	if rung == kernel.RungNone {
-		return
-	}
-	s.stats.borrows[rung].Add(1)
-	s.rungOf[f].Store(int32(rung) + 1)
-	s.loanMu.Lock()
-	s.loans[f] = Loan{Client: c, Rung: rung}
-	s.loanMu.Unlock()
 }
 
 // borrow walks the degradation ladder for a colored client whose home

@@ -234,7 +234,22 @@ func TestBackpressureConcurrentMisses(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	_, err := c.Alloc()
+	// The probe runs aside, so a HighWater check that lets it through
+	// to zoneMu fails the test at the deadline instead of hanging it.
+	probe := make(chan error, 1)
+	go func() {
+		_, err := c.Alloc()
+		probe <- err
+	}()
+	var err error
+	select {
+	case err = <-probe:
+	case <-time.After(time.Until(deadline)):
+		sh.zoneMu.Unlock()
+		<-probe
+		wg.Wait()
+		t.Fatalf("miss past %d waiting misses blocked on zoneMu instead of failing with ErrBusy", hw)
+	}
 	sh.zoneMu.Unlock()
 	wg.Wait()
 	if !errors.Is(err, ErrBusy) {

@@ -262,25 +262,6 @@ func (sh *shard) serveMiss(c *Client, seq uint64, s *Server) (phys.Frame, kernel
 	return 0, kernel.RungNone, ErrNoMemory
 }
 
-// reclaim returns an unowned frame to its home shard: parked if the
-// colored allocator owns it, buddy zone otherwise. The frame is held
-// exclusively by the caller, so a buddy rejection can only mean the
-// server's ownership bookkeeping is corrupt — fail loudly rather
-// than leak the frame silently.
-func (s *Server) reclaim(f phys.Frame) {
-	sh := s.shards[s.mapping.NodeOfFrame(f)]
-	if s.colored[f].Load() {
-		sh.park(f, s)
-		return
-	}
-	sh.zoneMu.Lock()
-	err := sh.zone.Free(f-sh.base, 0)
-	sh.zoneMu.Unlock()
-	if err != nil {
-		panic(fmt.Sprintf("serve: reclaim of exclusively-held frame %d rejected: %v", f, err))
-	}
-}
-
 // shatterLocked (zoneMu held) breaks the smallest free block into
 // single pages on their color lists — one create_color_list step of
 // Algorithm 2, walking orders low to high exactly as the kernel's

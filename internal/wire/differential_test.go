@@ -1,9 +1,12 @@
 package wire
 
 import (
+	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/tintmalloc/tintmalloc/internal/phys"
@@ -194,6 +197,46 @@ func TestDifferentialTaskPlane(t *testing.T) {
 				t.Errorf("task-plane counters diverge:\nwire: %+v\nref:  %+v", gotStats, wantStats)
 			}
 		})
+	}
+}
+
+// TestTaskStatUnknownID asks for the task one past the last spawned,
+// before and after the batch runs: the daemon must refuse it as an
+// unknown task, not answer with an empty result.
+func TestTaskStatUnknownID(t *testing.T) {
+	d, addr := newTestDaemon(t)
+	c, err := Dial("unix", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := differentialSpecs()
+	for _, sp := range specs {
+		if _, err := c.TaskSpawn(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := uint32(len(specs))
+	check := func(when string) {
+		t.Helper()
+		if _, err := c.TaskStat(n - 1); err != nil {
+			t.Fatalf("%s: TaskStat of the last spawned task: %v", when, err)
+		}
+		_, err := c.TaskStat(n)
+		want := fmt.Sprintf("unknown task %d", n)
+		if !errors.Is(err, errInvalid) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: TaskStat(%d) = %v, want an invalid-request error containing %q", when, n, err, want)
+		}
+	}
+	check("before the run")
+	if _, err := c.TaskRun(sched.Config{Policy: sched.RR, Quantum: 16, Cores: 2}); err != nil {
+		t.Fatal(err)
+	}
+	check("after the run")
+	if err := c.Goodbye(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("daemon close/audit: %v", err)
 	}
 }
 

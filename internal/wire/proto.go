@@ -38,7 +38,7 @@ import (
 const (
 	// Version is the protocol version carried in Hello; the daemon
 	// rejects a mismatch rather than guessing.
-	Version = 1
+	Version = 2
 	// MaxFrameLen bounds one frame's length field (type byte +
 	// payload). Large enough for the biggest legitimate reply (a task
 	// table at maxTasks), small enough that a garbage length can't
@@ -453,9 +453,6 @@ func appendStats(b []byte, st serve.Stats, ds DaemonStats) []byte {
 	b = appendU64(b, st.Rejected)
 	b = appendU64(b, st.Parked)
 	b = appendU64(b, st.FreeFrames)
-	b = appendU64(b, st.CompactPasses)
-	b = appendU64(b, st.CompactMoved)
-	b = appendU64(b, st.CompactDeclined)
 	b = appendU64(b, ds.Sessions)
 	b = appendU64(b, ds.Active)
 	b = appendU64(b, ds.Reclaimed)
@@ -486,9 +483,6 @@ func parseStats(payload []byte) (serve.Stats, DaemonStats, error) {
 	st.Rejected = p.u64()
 	st.Parked = p.u64()
 	st.FreeFrames = p.u64()
-	st.CompactPasses = p.u64()
-	st.CompactMoved = p.u64()
-	st.CompactDeclined = p.u64()
 	ds.Sessions = p.u64()
 	ds.Active = p.u64()
 	ds.Reclaimed = p.u64()

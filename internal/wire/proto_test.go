@@ -75,7 +75,6 @@ func TestStatsRoundTrip(t *testing.T) {
 		Allocs: 101, Frees: 90, ColoredPages: 70, DefaultAllocs: 31,
 		Loans: 3, Refills: 9, RefillFrames: 288, Batches: 9, BatchedReqs: 12,
 		Rejected: 4, Parked: 200, FreeFrames: 5000,
-		CompactPasses: 2, CompactMoved: 1, CompactDeclined: 1,
 	}
 	st.Borrows[0], st.Borrows[1], st.Borrows[2] = 5, 6, 7
 	ds := DaemonStats{Sessions: 9, Active: 4, Reclaimed: 17, ReclaimFailed: 1, TasksSpawned: 30, TaskRuns: 2}
@@ -153,6 +152,12 @@ func TestGoldenFrameBytes(t *testing.T) {
 	const wantAlloc = "00000009" + "07" + "0000000000001234"
 	if got := hex.EncodeToString(buf.Bytes()); got != wantAlloc {
 		t.Fatalf("alloc reply bytes drifted:\n got %s\nwant %s", got, wantAlloc)
+	}
+	// The stats reply is fixed-width: 4 serve counters, the rung count
+	// byte, 3 rung counters, 8 more serve counters, 6 daemon counters.
+	const wantStatsLen = 8*4 + 1 + 8*3 + 8*8 + 8*6
+	if got := len(appendStats(nil, serve.Stats{}, DaemonStats{})); got != wantStatsLen {
+		t.Fatalf("stats reply is %d bytes, want %d", got, wantStatsLen)
 	}
 }
 
