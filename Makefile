@@ -51,9 +51,10 @@ bench-gate:
 		BENCH_smoke_baseline.json /tmp/tint_bench_a.json
 
 # Zero-allocation gate, two halves (see CONTRIBUTING.md):
-#   1. The AllocsPerRun tests pin the serve colored fast path and the
-#      miss path on a drained shard at exactly 0 allocs/op. They must
-#      run without -race (the race detector's instrumentation
+#   1. The AllocsPerRun tests pin the serve colored fast path, the
+#      miss path on a drained shard, and the kernel's LLC-only parked
+#      fault and borrow-color ladder fault at exactly 0 allocs/op. They
+#      must run without -race (the race detector's instrumentation
 #      allocates; under -race they skip themselves).
 #   2. tintstat -exact-allocs checks the engine harness's measured
 #      allocs/op against the checked-in smoke baseline: a one-sided
@@ -62,7 +63,7 @@ bench-gate:
 #      accidental per-op allocation on any hot path the suite
 #      exercises, not just the serve front-end.
 alloc-gate:
-	$(GO) test -run TestZeroAlloc -count=1 -v ./internal/serve
+	$(GO) test -run TestZeroAlloc -count=1 -v ./internal/serve ./internal/kernel
 	$(GO) run ./cmd/tintbench -exp bench -scale 0.05 -repeats 1 \
 		-bench-parallel 1,2 -bench-samples 3 -out /tmp/tint_alloc.json
 	$(GO) run ./cmd/tintstat -exact-allocs -threshold 1000000000 \
@@ -144,6 +145,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzMmap -fuzztime=30s ./internal/kernel
 	$(GO) test -fuzz=FuzzKernelInterleaving -fuzztime=30s ./internal/kernel
 	$(GO) test -fuzz=FuzzRadixPT -fuzztime=30s ./internal/kernel
+	$(GO) test -fuzz=FuzzColorPop -fuzztime=30s ./internal/kernel
+	$(GO) test -fuzz=FuzzHeapBlockTable -fuzztime=30s ./internal/heap
 	$(GO) test -fuzz=FuzzWireFrame -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=30s ./internal/bench

@@ -77,8 +77,8 @@ type slabMeta struct {
 // Heap is a per-task arena. Not safe for concurrent use.
 type Heap struct {
 	task  *kernel.Task
-	free  [][]uint64 // per-class free slot VAs (LIFO)
-	live  map[uint64]allocation
+	free  [][]uint64           // per-class free slot VAs (LIFO)
+	live  blockTable           // block VA -> allocation
 	slabs map[uint64]*slabMeta // slab base VA -> occupancy
 	stats Stats
 }
@@ -89,7 +89,7 @@ func New(task *kernel.Task) *Heap {
 	return &Heap{
 		task:  task,
 		free:  make([][]uint64, len(sizeClasses)),
-		live:  make(map[uint64]allocation),
+		live:  newBlockTable(),
 		slabs: make(map[uint64]*slabMeta),
 	}
 }
@@ -117,7 +117,7 @@ func (h *Heap) Malloc(size uint64) (uint64, error) {
 		}
 		h.stats.HugeMapped++
 		h.stats.BytesLive += pages * phys.PageSize
-		h.live[va] = allocation{class: -1, pages: pages}
+		h.live.put(va, allocation{class: -1, pages: pages})
 		return va, nil
 	}
 	cls := classOf(size)
@@ -129,7 +129,7 @@ func (h *Heap) Malloc(size uint64) (uint64, error) {
 	l := h.free[cls]
 	va := l[len(l)-1]
 	h.free[cls] = l[:len(l)-1]
-	h.live[va] = allocation{class: cls}
+	h.live.put(va, allocation{class: cls})
 	h.slabs[slabOf(va)].used++
 	h.stats.BytesLive += sizeClasses[cls]
 	return va, nil
@@ -175,7 +175,7 @@ func (h *Heap) Realloc(va uint64, size uint64) (uint64, error) {
 	if size == 0 {
 		return 0, h.Free(va)
 	}
-	a, ok := h.live[va]
+	a, ok := h.live.get(va)
 	if !ok {
 		return 0, fmt.Errorf("%w: realloc of %#x", ErrInvalidFree, va)
 	}
@@ -204,11 +204,11 @@ func (h *Heap) Realloc(va uint64, size uint64) (uint64, error) {
 
 // Free releases a block previously returned by Malloc.
 func (h *Heap) Free(va uint64) error {
-	a, ok := h.live[va]
+	a, ok := h.live.get(va)
 	if !ok {
 		return fmt.Errorf("%w: %#x", ErrInvalidFree, va)
 	}
-	delete(h.live, va)
+	h.live.del(va)
 	h.stats.Frees++
 	if a.class < 0 {
 		h.stats.BytesLive -= a.pages * phys.PageSize
@@ -276,7 +276,7 @@ func (h *Heap) Trim() (released int, err error) {
 
 // SizeOf returns the usable size of a live allocation.
 func (h *Heap) SizeOf(va uint64) (uint64, bool) {
-	a, ok := h.live[va]
+	a, ok := h.live.get(va)
 	if !ok {
 		return 0, false
 	}
@@ -287,4 +287,4 @@ func (h *Heap) SizeOf(va uint64) (uint64, bool) {
 }
 
 // LiveAllocations returns the number of outstanding blocks.
-func (h *Heap) LiveAllocations() int { return len(h.live) }
+func (h *Heap) LiveAllocations() int { return h.live.n }

@@ -110,6 +110,13 @@ var ownerName = [...]string{"none", "buddy free list", "color list", "page table
 //     catches both ways that can go wrong: a compaction that drops a
 //     live region, and a Munmap that retires a region but leaves its
 //     pages resident.
+//  9. Every color list's occupancy bit is set exactly while the list
+//     holds frames. The colored pops scan occupancy rows, not lists, so
+//     a clear bit over a non-empty list strands its frames and a set
+//     bit over an empty one sends a pop to nothing.
+//  10. The kernel's per-color claim counts, which the ladder reads to
+//     find colors no task holds, equal a recount over every task's
+//     TCB.
 //
 // (Check 6 is the serve layer's AuditServer, in server.go.)
 //
@@ -153,25 +160,38 @@ func Audit(k *kernel.Kernel) *Report {
 		})
 	}
 
-	k.VisitColorLists(func(bc, lc int, f phys.Frame) {
-		if !claim(f, ownerColorList) {
-			conflict(f, fmt.Sprintf("color list [%d][%d]", bc, lc))
+	k.VisitColorLists(func(bc, lc int, frames []phys.Frame, occupied bool) {
+		// Check 9: the occupancy bit is set exactly while the list
+		// holds frames.
+		if occupied != (len(frames) > 0) {
+			if occupied {
+				r.addf("color list [%d][%d] is empty but its occupancy bit is set", bc, lc)
+			} else {
+				r.addf("color list [%d][%d] holds %d frames but its occupancy bit is clear; every pop skips them",
+					bc, lc, len(frames))
+			}
 		}
-		r.Parked++
-		if !m.ValidFrame(f) {
-			return
-		}
-		// Recompute from the bit-gather reference, not the memoized
-		// frame tables the kernel itself reads — a corrupt table must
-		// not vouch for itself.
-		if wantBC, wantLC := m.GatherBankColor(f.Base()), m.GatherLLCColor(f.Base()); wantBC != bc || wantLC != lc {
-			r.addf("frame %d parked on color list [%d][%d] but hashes to (%d,%d) under the mapping",
-				f, bc, lc, wantBC, wantLC)
-		}
-		if !k.FrameColored(f) {
-			r.addf("frame %d parked on color list [%d][%d] without the colored ownership mark", f, bc, lc)
+		for _, f := range frames {
+			if !claim(f, ownerColorList) {
+				conflict(f, fmt.Sprintf("color list [%d][%d]", bc, lc))
+			}
+			r.Parked++
+			if !m.ValidFrame(f) {
+				continue
+			}
+			// Recompute from the bit-gather reference, not the memoized
+			// frame tables the kernel itself reads — a corrupt table must
+			// not vouch for itself.
+			if wantBC, wantLC := m.GatherBankColor(f.Base()), m.GatherLLCColor(f.Base()); wantBC != bc || wantLC != lc {
+				r.addf("frame %d parked on color list [%d][%d] but hashes to (%d,%d) under the mapping",
+					f, bc, lc, wantBC, wantLC)
+			}
+			if !k.FrameColored(f) {
+				r.addf("frame %d parked on color list [%d][%d] without the colored ownership mark", f, bc, lc)
+			}
 		}
 	})
+	checkClaims(r, k)
 
 	for _, p := range k.Processes() {
 		p.VisitPages(func(vp uint64, f phys.Frame) {
@@ -270,6 +290,34 @@ func Audit(k *kernel.Kernel) *Report {
 		}
 	}
 	return r
+}
+
+// checkClaims is check 10: the per-color claim counts the ladder
+// reads equal a recount of the colors every task's TCB holds.
+func checkClaims(r *Report, k *kernel.Kernel) {
+	m := k.Mapping()
+	bank := make([]int, m.NumBankColors())
+	llc := make([]int, m.NumLLCColors())
+	for _, p := range k.Processes() {
+		for _, t := range p.Tasks() {
+			for _, c := range t.BankColors() {
+				bank[c]++
+			}
+			for _, c := range t.LLCColors() {
+				llc[c]++
+			}
+		}
+	}
+	for c, n := range bank {
+		if got := k.ColorClaims(true, c); got != n {
+			r.addf("bank color %d: claim count %d but %d tasks hold it", c, got, n)
+		}
+	}
+	for c, n := range llc {
+		if got := k.ColorClaims(false, c); got != n {
+			r.addf("LLC color %d: claim count %d but %d tasks hold it", c, got, n)
+		}
+	}
 }
 
 // checkAddressSpace is check 8 for one process: its live regions are

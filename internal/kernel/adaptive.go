@@ -53,25 +53,17 @@ func (t *Task) Repolicy(bank, llc []int) error {
 			return fmt.Errorf("%w: LLC color %d (have %d)", ErrBadColor, c, k.mapping.NumLLCColors())
 		}
 	}
-	for i := range t.bankSet {
-		t.bankSet[i] = false
+	for len(t.bankColors) > 0 {
+		t.setBank(t.bankColors[len(t.bankColors)-1], false)
 	}
-	for i := range t.llcSet {
-		t.llcSet[i] = false
+	for len(t.llcColors) > 0 {
+		t.setLLC(t.llcColors[len(t.llcColors)-1], false)
 	}
-	t.bankColors = t.bankColors[:0]
-	t.llcColors = t.llcColors[:0]
 	for _, c := range bank {
-		if !t.bankSet[c] {
-			t.bankSet[c] = true
-			t.bankColors = insertSorted(t.bankColors, c)
-		}
+		t.setBank(c, true)
 	}
 	for _, c := range llc {
-		if !t.llcSet[c] {
-			t.llcSet[c] = true
-			t.llcColors = insertSorted(t.llcColors, c)
-		}
+		t.setLLC(c, true)
 	}
 	t.usingBank = len(t.bankColors) > 0
 	t.usingLLC = len(t.llcColors) > 0
@@ -81,7 +73,7 @@ func (t *Task) Repolicy(bank, llc []int) error {
 	for _, bc := range t.bankColors {
 		t.nodeSet[k.mapping.NodeOfBankColor(bc)] = true
 	}
-	t.comboCursor, t.llcScan, t.bankScan = 0, 0, 0
+	t.comboCursor, t.comboLLC, t.llcScan, t.bankScan = 0, 0, 0, 0
 	t.compactCursor = 0
 	// Same conservative model as setColor: a recolor shoots down the
 	// task's cached translations (mappings themselves stay valid).
@@ -137,7 +129,7 @@ func (k *Kernel) reconcileLoans(t *Task) {
 			continue
 		}
 		conflict := (l.task.usingBank && t.bankSet[k.frameBank[f]]) ||
-			(!l.task.usingBank && l.task.usingLLC && t.llcSet[k.frameLLC[f]])
+			(!l.task.usingBank && l.task.usingLLC && t.ownsLLC(int(k.frameLLC[f])))
 		if conflict {
 			l.rung = RungRemote
 			k.loans[f] = l

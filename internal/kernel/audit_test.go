@@ -170,6 +170,86 @@ func TestAuditFlagsMisorderedRegions(t *testing.T) {
 	}
 }
 
+// onlyViolation audits k and requires exactly one violation, equal
+// to want.
+func onlyViolation(t *testing.T, k *kernel.Kernel, want string) {
+	t.Helper()
+	r := invariant.Audit(k)
+	if len(r.Violations) != 1 || r.Violations[0] != want {
+		t.Fatalf("audit violations: %q\nwant exactly %q", r.Violations, want)
+	}
+}
+
+// TestAuditFlagsFlippedOccupancyBit flips one color list's occupancy
+// bit each way and requires the auditor to name exactly that list: a
+// clear bit over parked frames strands them (every colored pop scans
+// the bits, not the lists), and a set bit over an empty list sends a
+// pop to nothing.
+func TestAuditFlagsFlippedOccupancyBit(t *testing.T) {
+	k := bootKernel(t, kernel.DefaultConfig())
+	task, err := k.NewProcess().NewTask(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc := k.Mapping().BankColorsOfNode(0)[0]
+	setTaskColors(t, task, []int{bc}, []int{3})
+	va, err := task.Mmap(0, phys.PageSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := task.Translate(va); err != nil { // the refill parks a block's frames
+		t.Fatal(err)
+	}
+	mustAudit(t, k)
+	var full, empty [2]int // (bank color, LLC color) of a parked and of an empty list
+	full[0], empty[0] = -1, -1
+	k.VisitColorLists(func(b, lc int, frames []phys.Frame, _ bool) {
+		if len(frames) > 0 && full[0] < 0 {
+			full = [2]int{b, lc}
+		} else if len(frames) == 0 && empty[0] < 0 {
+			empty = [2]int{b, lc}
+		}
+	})
+	if full[0] < 0 || empty[0] < 0 {
+		t.Fatal("one refill must leave a parked list and an empty one")
+	}
+
+	k.FlipOccupancyBit(full[0], full[1])
+	onlyViolation(t, k, fmt.Sprintf("color list [%d][%d] holds %d frames but its occupancy bit is clear; every pop skips them",
+		full[0], full[1], k.ColoredFreePages(full[0], full[1])))
+	k.FlipOccupancyBit(full[0], full[1])
+	mustAudit(t, k)
+
+	k.FlipOccupancyBit(empty[0], empty[1])
+	onlyViolation(t, k, fmt.Sprintf("color list [%d][%d] is empty but its occupancy bit is set", empty[0], empty[1]))
+}
+
+// TestAuditFlagsSkewedClaimCount moves one color's claim count away
+// from the tasks that hold it and requires the auditor to name
+// exactly that color: the ladder reads the counts to decide which
+// colors it may lend.
+func TestAuditFlagsSkewedClaimCount(t *testing.T) {
+	k := bootKernel(t, kernel.DefaultConfig())
+	proc := k.NewProcess()
+	banks := k.Mapping().BankColorsOfNode(0)
+	for i, core := range []topology.CoreID{0, 1} {
+		task, err := proc.NewTask(core)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Both tasks share LLC color 7, so its count is 2.
+		setTaskColors(t, task, banks[2*i:2*i+2], []int{7, 8 + i})
+	}
+	mustAudit(t, k)
+
+	k.SkewColorClaims(true, banks[1], 1)
+	onlyViolation(t, k, fmt.Sprintf("bank color %d: claim count 2 but 1 tasks hold it", banks[1]))
+	k.SkewColorClaims(true, banks[1], -1)
+
+	k.SkewColorClaims(false, 7, -1)
+	onlyViolation(t, k, "LLC color 7: claim count 1 but 2 tasks hold it")
+}
+
 // A churned kernel intentionally pins HoldoutFrac of each zone as
 // permanently-resident foreign memory; the audit must account for
 // exactly that many unowned frames and nothing else.

@@ -145,65 +145,44 @@ func (k *Kernel) degradedColoredAlloc(t *Task) (phys.Frame, Rung, bool) {
 	return 0, RungNone, false
 }
 
-// assignedColors reports which bank and LLC colors any live task
-// currently owns. Recomputed per ladder step: the ladder is a cold
-// path entered only under memory pressure, and a cached set would
-// have to chase every Mmap color call.
-func (k *Kernel) assignedColors() (bank, llc []bool) {
-	bank = make([]bool, k.colors.nBank)
-	llc = make([]bool, k.colors.nLLC)
-	for _, p := range k.procs {
-		for _, t := range p.tasks {
-			for _, c := range t.bankColors {
-				bank[c] = true
-			}
-			for _, c := range t.llcColors {
-				llc[c] = true
-			}
-		}
-	}
-	return bank, llc
-}
-
 // popUnassigned pops a parked page on `node` borrowable without
 // touching any task's guarantee: for bank-constrained borrowers a
-// page of an unassigned bank color (preferring the borrower's own
+// page of a bank color no task claims (preferring the borrower's own
 // LLC colors so that half of the guarantee survives), for LLC-only
-// borrowers a page of an unassigned LLC color served from the node's
-// banks.
+// borrowers a page of an LLC color no task claims, served from the
+// node's banks. Whether a color is claimed is read from the per-color
+// counts that Task.setBank and Task.setLLC keep.
 func (k *Kernel) popUnassigned(t *Task, node int) (phys.Frame, bool) {
-	bankAsn, llcAsn := k.assignedColors()
+	ct := k.colors
+	lo, hi := node*ct.perNode, (node+1)*ct.perNode
 	if t.usingBank {
-		banks := k.mapping.BankColorsOfNode(node)
 		if t.usingLLC {
-			for _, bc := range banks {
-				if bankAsn[bc] || k.colors.bankCount[bc] == 0 {
+			for bc := lo; bc < hi; bc++ {
+				if k.bankClaims[bc] != 0 {
 					continue
 				}
-				for _, lc := range t.llcColors {
-					if f, ok := k.colors.popExact(bc, lc); ok {
-						return f, true
-					}
+				if lc := ct.first(bc, t.llcMask, 0, ct.nLLC); lc >= 0 {
+					return ct.popExact(bc, lc)
 				}
 			}
 		}
-		for _, bc := range banks {
-			if bankAsn[bc] {
+		for bc := lo; bc < hi; bc++ {
+			if k.bankClaims[bc] != 0 {
 				continue
 			}
-			if f, ok := k.colors.popBankAny(bc, t.llcScan); ok {
+			if f, ok := ct.popBankAny(bc, t.llcScan); ok {
 				return f, true
 			}
 		}
 		return 0, false
 	}
-	for lc := 0; lc < k.colors.nLLC; lc++ {
-		if llcAsn[lc] || k.colors.llcCount[lc] == 0 {
+	for lc := 0; lc < ct.nLLC; lc++ {
+		if k.llcClaims[lc] != 0 || ct.llcCount[lc] == 0 {
 			continue
 		}
-		for _, bc := range k.mapping.BankColorsOfNode(node) {
-			if f, ok := k.colors.popExact(bc, lc); ok {
-				return f, true
+		for bc := lo; bc < hi; bc++ {
+			if ct.occupied(bc, lc) {
+				return ct.popExact(bc, lc)
 			}
 		}
 	}
@@ -211,12 +190,9 @@ func (k *Kernel) popUnassigned(t *Task, node int) (phys.Frame, bool) {
 }
 
 // popParkedOnNode pops any parked page of node n, scanning its bank
-// colors in ascending order.
+// colors in ascending order and each bank color's LLC columns from 0.
 func (k *Kernel) popParkedOnNode(n int) (phys.Frame, bool) {
-	for _, bc := range k.mapping.BankColorsOfNode(n) {
-		if k.colors.bankCount[bc] == 0 {
-			continue
-		}
+	for bc := n * k.colors.perNode; bc < (n+1)*k.colors.perNode; bc++ {
 		if f, ok := k.colors.popBankAny(bc, 0); ok {
 			return f, true
 		}
@@ -243,10 +219,11 @@ func (k *Kernel) popAnyParked(t *Task) (phys.Frame, bool) {
 // Returns the number of frames reclaimed.
 func (k *Kernel) reclaimParkedZone(n int) uint64 {
 	var reclaimed uint64
-	for _, bc := range k.mapping.BankColorsOfNode(n) {
-		for lc := 0; lc < k.colors.nLLC; lc++ {
+	ct := k.colors
+	for bc := n * ct.perNode; bc < (n+1)*ct.perNode; bc++ {
+		for lc := ct.first(bc, ct.allLLC, 0, ct.nLLC); lc >= 0; lc = ct.first(bc, ct.allLLC, lc+1, ct.nLLC) {
 			for {
-				f, ok := k.colors.popExact(bc, lc)
+				f, ok := ct.popExact(bc, lc)
 				if !ok {
 					break
 				}

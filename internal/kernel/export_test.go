@@ -16,3 +16,22 @@ func (p *Process) TombstoneRegion(va uint64) {
 func (p *Process) SetRegionEnd(va, end uint64) {
 	p.regions[p.findRegion(va)].end = end
 }
+
+// FlipOccupancyBit flips the occupancy bit of color list (bc, lc) and
+// leaves the list as it is: a clear bit over parked frames strands
+// them, a set bit over an empty list sends pops to nothing. The
+// auditor must name either.
+func (k *Kernel) FlipOccupancyBit(bc, lc int) {
+	k.colors.occ[bc*k.colors.words+lc>>6] ^= 1 << (lc & 63)
+}
+
+// SkewColorClaims moves the claim count of bank color c (bank true)
+// or LLC color c by d and leaves every task's color set as it is: the
+// ladder would then lend a claimed color or withhold a free one.
+func (k *Kernel) SkewColorClaims(bank bool, c, d int) {
+	if bank {
+		k.bankClaims[c] += int32(d)
+	} else {
+		k.llcClaims[c] += int32(d)
+	}
+}

@@ -14,17 +14,26 @@ import (
 // others without reaching into unexported state. None of them are
 // used on simulation hot paths.
 
-// VisitColorLists calls fn for every frame parked on a color list,
-// with the (bank color, LLC color) bucket it is parked under, in
-// deterministic bucket-then-stack order.
-func (k *Kernel) VisitColorLists(fn func(bankColor, llcColor int, f phys.Frame)) {
+// VisitColorLists calls fn for every color list, in ascending (bank
+// color, LLC color) order: its parked frames, bottom of the stack
+// first, and its occupancy bit. The slice is the list itself; fn must
+// not change it.
+func (k *Kernel) VisitColorLists(fn func(bankColor, llcColor int, frames []phys.Frame, occupied bool)) {
 	for bc := 0; bc < k.colors.nBank; bc++ {
 		for lc := 0; lc < k.colors.nLLC; lc++ {
-			for _, f := range k.colors.list(bc, lc) {
-				fn(bc, lc, f)
-			}
+			fn(bc, lc, k.colors.list(bc, lc), k.colors.occupied(bc, lc))
 		}
 	}
+}
+
+// ColorClaims returns how many tasks the kernel counts as holding
+// bank color c (bank true) or LLC color c (bank false) — the counts
+// the degradation ladder reads to find unclaimed colors.
+func (k *Kernel) ColorClaims(bank bool, c int) int {
+	if bank {
+		return int(k.bankClaims[c])
+	}
+	return int(k.llcClaims[c])
 }
 
 // VisitZoneFree calls fn for every free buddy block of node n's zone,
@@ -121,7 +130,7 @@ func (t *Task) ResidentPages() uint64 {
 func (t *Task) OwnsBankColor(c int) bool { return c >= 0 && c < len(t.bankSet) && t.bankSet[c] }
 
 // OwnsLLCColor reports whether the task's TCB holds LLC color c.
-func (t *Task) OwnsLLCColor(c int) bool { return c >= 0 && c < len(t.llcSet) && t.llcSet[c] }
+func (t *Task) OwnsLLCColor(c int) bool { return c >= 0 && c < t.proc.k.colors.nLLC && t.ownsLLC(c) }
 
 // VisitTLB calls fn for every live entry of the task's simulated TLB
 // in slot order.

@@ -162,6 +162,11 @@ type Kernel struct {
 	zones   []*buddy.Allocator // one buddy zone per node
 	zoneLo  []phys.Frame       // first global frame of each zone
 	colors  *colorTable
+	// bankClaims and llcClaims count, per color, the tasks whose TCB
+	// holds it. Task.setBank and Task.setLLC keep them; the ladder
+	// reads them to find colors no task has claimed.
+	bankClaims []int32
+	llcClaims  []int32
 	// coloredFrame marks frames currently owned by the color lists
 	// or handed out through them; such frames return to the color
 	// lists on free rather than to the buddy (paper Sec. III-C).
@@ -238,7 +243,9 @@ func NewWithZones(topo *topology.Topology, mapping *phys.Mapping, cfg Config, zo
 		mapping:      mapping,
 		cfg:          cfg,
 		zones:        zones,
-		colors:       newColorTable(mapping.NumBankColors(), mapping.NumLLCColors()),
+		colors:       newColorTable(mapping.NumBankColors(), mapping.NumLLCColors(), mapping.BanksPerNode()),
+		bankClaims:   make([]int32, mapping.NumBankColors()),
+		llcClaims:    make([]int32, mapping.NumLLCColors()),
 		coloredFrame: make([]bool, mapping.Frames()),
 		loanRung:     make([]uint8, mapping.Frames()),
 	}
@@ -432,7 +439,7 @@ func (k *Kernel) allocColored(t *Task) (phys.Frame, clock.Dur, bool) {
 	// LLC-only tasks take parked pages from their local node only at
 	// this stage — falling back to a remote parked page before even
 	// trying a local refill would needlessly surrender locality.
-	if f, ok := k.popColored(t, true); ok {
+	if f, ok := k.colors.popColored(t, true); ok {
 		k.stats.ColoredPages++
 		return f, cost, true
 	}
@@ -467,7 +474,7 @@ func (k *Kernel) allocColored(t *Task) (phys.Frame, clock.Dur, bool) {
 				}
 				k.createColorList(order, base+head)
 				cost += k.cfg.RefillPerFrameCost * clock.Dur(uint64(1)<<order)
-				if f, ok := k.popColored(t, n == t.nodeOrder[0]); ok {
+				if f, ok := k.colors.popColored(t, n == t.nodeOrder[0]); ok {
 					k.stats.ColoredPages++
 					return f, cost, true
 				}
@@ -475,7 +482,7 @@ func (k *Kernel) allocColored(t *Task) (phys.Frame, clock.Dur, bool) {
 		}
 	}
 	// Last resort: a matching page parked on any node.
-	if f, ok := k.popColored(t, false); ok {
+	if f, ok := k.colors.popColored(t, false); ok {
 		k.stats.ColoredPages++
 		return f, cost, true
 	}
@@ -546,49 +553,6 @@ func (k *Kernel) createColorList(order int, head phys.Frame) {
 		k.coloredFrame[f] = true
 		k.stats.RefillFrames++
 	}
-}
-
-// popColored pops a free page matching t's colors, rotating through
-// the task's owned colors so heap pages spread evenly across them.
-// localOnly restricts the LLC-only path to bank columns of the
-// task's local node (bank-constrained paths are node-bound already).
-func (k *Kernel) popColored(t *Task, localOnly bool) (phys.Frame, bool) {
-	switch {
-	case t.usingBank && t.usingLLC:
-		nCombos := len(t.bankColors) * len(t.llcColors)
-		for i := 0; i < nCombos; i++ {
-			idx := (t.comboCursor + i) % nCombos
-			bc := t.bankColors[idx/len(t.llcColors)]
-			lc := t.llcColors[idx%len(t.llcColors)]
-			if f, ok := k.colors.popExact(bc, lc); ok {
-				t.comboCursor = (idx + 1) % nCombos
-				return f, true
-			}
-		}
-	case t.usingBank:
-		for i := 0; i < len(t.bankColors); i++ {
-			idx := (t.comboCursor + i) % len(t.bankColors)
-			if f, ok := k.colors.popBankAny(t.bankColors[idx], t.llcScan); ok {
-				t.comboCursor = (idx + 1) % len(t.bankColors)
-				t.llcScan = (t.llcScan + 1) % k.mapping.NumLLCColors()
-				return f, true
-			}
-		}
-	case t.usingLLC:
-		order := t.bankScanOrder(k)
-		if localOnly {
-			order = order[:k.mapping.BanksPerNode()]
-		}
-		for i := 0; i < len(t.llcColors); i++ {
-			idx := (t.comboCursor + i) % len(t.llcColors)
-			if f, ok := k.colors.popLLCAny(t.llcColors[idx], order); ok {
-				t.comboCursor = (idx + 1) % len(t.llcColors)
-				t.bankScan++
-				return f, true
-			}
-		}
-	}
-	return 0, false
 }
 
 // freeFrame returns a frame to the kernel: colored frames go back to

@@ -363,6 +363,55 @@ func TestMmapRejectsOverflowingLength(t *testing.T) {
 	})
 }
 
+// TestRegionLookupEdges probes findRegion's two paths at every region
+// edge: the tail probe (the last region, live and retired, and any
+// address at or past its end) and the search over the starts before
+// it (first and last byte of each region, a retired region, and an
+// address below every region).
+func TestRegionLookupEdges(t *testing.T) {
+	k := boot(t)
+	task := newTask(t, k, 0)
+	var starts, ends []uint64
+	for pages := uint64(1); pages <= 4; pages++ {
+		va, err := task.Mmap(0, pages*phys.PageSize, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		starts, ends = append(starts, va), append(ends, va+pages*phys.PageSize)
+	}
+	translates := func(va uint64, want bool) {
+		t.Helper()
+		_, _, err := task.Translate(va)
+		if want && err != nil {
+			t.Fatalf("Translate(%#x) inside a live region: %v", va, err)
+		}
+		if !want && !errors.Is(err, ErrSegfault) {
+			t.Fatalf("Translate(%#x) outside every live region = %v, want ErrSegfault", va, err)
+		}
+	}
+	last := len(starts) - 1
+	for i := range starts {
+		translates(starts[i], true)
+		translates(ends[i]-1, true)
+	}
+	translates(starts[0]-1, false)
+	translates(ends[last], false)
+	translates(ends[last]+8*phys.PageSize, false)
+	if err := task.Munmap(ends[last], phys.PageSize); !errors.Is(err, ErrSegfault) {
+		t.Fatalf("Munmap past the last region = %v, want ErrSegfault", err)
+	}
+
+	for _, i := range []int{1, last} {
+		if err := task.Munmap(starts[i], ends[i]-starts[i]); err != nil {
+			t.Fatal(err)
+		}
+		translates(starts[i], false)
+		translates(ends[i]-1, false)
+	}
+	translates(ends[0]-1, true)
+	translates(starts[2], true)
+}
+
 func TestColorExhaustion(t *testing.T) {
 	// One (bank, LLC) combo owns 1/(128*32) of memory: 4 frames of
 	// 16384. Demand more and, with the degradation ladder disabled

@@ -80,7 +80,7 @@ func (t *Task) frameMatchesColors(k *Kernel, f phys.Frame) bool {
 	if t.usingBank && !t.bankSet[k.frameBank[f]] {
 		return false
 	}
-	if t.usingLLC && !t.llcSet[k.frameLLC[f]] {
+	if t.usingLLC && !t.ownsLLC(int(k.frameLLC[f])) {
 		return false
 	}
 	return true

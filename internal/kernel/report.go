@@ -22,8 +22,10 @@ func (k *Kernel) WriteReport(w io.Writer) {
 	per := k.mapping.BanksPerNode()
 	for n := 0; n < k.mapping.Nodes(); n++ {
 		var nodeTotal uint64
-		for _, bc := range k.mapping.BankColorsOfNode(n) {
-			nodeTotal += k.colors.bankCount[bc]
+		for bc := n * per; bc < (n+1)*per; bc++ {
+			for lc := 0; lc < k.colors.nLLC; lc++ {
+				nodeTotal += uint64(len(k.colors.list(bc, lc)))
+			}
 		}
 		if nodeTotal == 0 {
 			continue

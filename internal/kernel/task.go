@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"github.com/tintmalloc/tintmalloc/internal/clock"
@@ -62,6 +63,7 @@ type Process struct {
 	id      int
 	pt      RadixPT  // page table, shared by the process's tasks
 	regions []region // sorted by start, tombstones included
+	starts  []uint64 // starts[i] == regions[i].start, packed for findRegion
 	dead    int      // tombstones in regions
 	nextVA  uint64
 	tasks   []*Task
@@ -88,7 +90,7 @@ func (p *Process) NewTask(core topology.CoreID) (*Task, error) {
 		proc:      p,
 		core:      core,
 		bankSet:   make([]bool, p.k.mapping.NumBankColors()),
-		llcSet:    make([]bool, p.k.mapping.NumLLCColors()),
+		llcMask:   make([]uint64, p.k.colors.words),
 		nodeSet:   make([]bool, p.k.mapping.Nodes()),
 		nodeOrder: p.k.topo.NodeOrder(core),
 		tlb:       make([]tlbEntry, TLBEntries),
@@ -102,13 +104,32 @@ func (p *Process) NewTask(core topology.CoreID) (*Task, error) {
 func (p *Process) MappedPages() int { return p.pt.Len() }
 
 // findRegion returns the index of the entry, live or tombstone, whose
-// range holds va, or -1.
+// range holds va, or -1. It probes the last entry first, since a fresh
+// Mmap's first touch lands there. Otherwise it searches the starts
+// before it for the last one at or below va: a fixed number of
+// halvings, each turning the comparison's borrow into a mask, so no
+// branch depends on the data.
 func (p *Process) findRegion(va uint64) int {
-	i := sort.Search(len(p.regions), func(i int) bool {
-		return p.regions[i].end > va
-	})
-	if i < len(p.regions) && p.regions[i].start <= va {
-		return i
+	starts := p.starts
+	n := len(starts) - 1
+	if n < 0 {
+		return -1
+	}
+	if starts[n] <= va {
+		if va < p.regions[n].end {
+			return n
+		}
+		return -1 // every other region ends at or below starts[n]
+	}
+	base := 0
+	for n > 1 {
+		half := n >> 1
+		_, below := bits.Sub64(va, starts[base+half], 0) // 1 when va < start
+		base += half & (int(below) - 1)
+		n -= half
+	}
+	if starts[base] <= va && va < p.regions[base].end {
+		return base
 	}
 	return -1
 }
@@ -122,35 +143,41 @@ func (p *Process) mapped(va uint64) bool {
 // compactRegions drops the tombstones in one in-place pass, keeping
 // the live regions' order and the backing array.
 func (p *Process) compactRegions() {
-	live := p.regions[:0]
+	live, starts := p.regions[:0], p.starts[:0]
 	for _, r := range p.regions {
 		if r.owner != nil {
 			live = append(live, r)
+			starts = append(starts, r.start)
 		}
 	}
-	p.regions = live
+	p.regions, p.starts = live, starts
 	p.dead = 0
 }
 
 // Task is the simulated task control block: pinned core, coloring
 // flags and color sets (paper Sec. III-B).
 type Task struct {
-	id          int
-	proc        *Process
-	core        topology.CoreID
-	usingBank   bool
-	usingLLC    bool
-	bankColors  []int // sorted owned memory colors
-	llcColors   []int // sorted owned LLC colors
-	bankSet     []bool
-	llcSet      []bool
-	nodeSet     []bool     // nodes reachable through the owned bank colors
-	nodeOrder   []int      // zones in increasing hop distance from core
-	comboCursor int        // round-robin over owned color combinations
+	id         int
+	proc       *Process
+	core       topology.CoreID
+	usingBank  bool
+	usingLLC   bool
+	bankColors []int // sorted owned memory colors
+	llcColors  []int // sorted owned LLC colors
+	bankSet    []bool
+	llcMask    []uint64 // owned LLC colors, in the color table's row layout
+	nodeSet    []bool   // nodes reachable through the owned bank colors
+	nodeOrder  []int    // zones in increasing hop distance from core
+	// comboCursor round-robins over the owned colors: the index into
+	// bankColors of the next combination under MEM+LLC and bank-only
+	// coloring, the index into llcColors under LLC-only coloring.
+	// Under MEM+LLC, comboLLC completes it: the next combination is
+	// the first owned LLC color at or above comboLLC.
+	comboCursor int
+	comboLLC    int
 	faultCount  uint64     // faults served; drives chunked placement luck
 	llcScan     int        // rotating LLC column for bank-only coloring
 	bankScan    int        // rotating bank offset for LLC-only coloring
-	bankOrder   []int      // cached local-first bank color scan order
 	tlb         []tlbEntry // direct-mapped translation cache
 	degraded    uint64     // ladder allocations charged to this task
 	// compactCursor is the next virtual page the incremental
@@ -159,25 +186,54 @@ type Task struct {
 	compactCursor uint64
 }
 
-// bankScanOrder returns every bank color ordered local-node-first (by
-// the task's zone fallback order), rotated by the task's bankScan
-// cursor within each node's group so LLC-only allocations spread over
-// the local banks.
-func (t *Task) bankScanOrder(k *Kernel) []int {
-	if t.bankOrder == nil {
-		for _, n := range t.nodeOrder {
-			t.bankOrder = append(t.bankOrder, k.mapping.BankColorsOfNode(n)...)
-		}
+// advanceCombo moves the MEM+LLC cursor past the combination
+// (bankColors[bi], lc) just popped: to the next owned LLC color of the
+// same bank color, or to the next bank color's first, wrapping after
+// the last combination.
+func (t *Task) advanceCombo(bi, lc int) {
+	if lc < t.llcColors[len(t.llcColors)-1] {
+		t.comboCursor, t.comboLLC = bi, lc+1
+		return
 	}
-	per := k.mapping.BanksPerNode()
-	out := make([]int, 0, len(t.bankOrder))
-	for g := 0; g < len(t.bankOrder); g += per {
-		grp := t.bankOrder[g : g+per]
-		off := t.bankScan % per
-		out = append(out, grp[off:]...)
-		out = append(out, grp[:off]...)
+	if bi++; bi == len(t.bankColors) {
+		bi = 0
 	}
-	return out
+	t.comboCursor, t.comboLLC = bi, 0
+}
+
+// ownsLLC reports whether LLC color c is in the task's set.
+func (t *Task) ownsLLC(c int) bool { return t.llcMask[c>>6]&(1<<(c&63)) != 0 }
+
+// setBank adds (on) or removes bank color c, keeping bankSet, the
+// sorted bankColors and the kernel's per-color claim count in step.
+// The caller recomputes usingBank and nodeSet.
+func (t *Task) setBank(c int, on bool) {
+	if t.bankSet[c] == on {
+		return
+	}
+	t.bankSet[c] = on
+	if on {
+		t.bankColors = insertSorted(t.bankColors, c)
+		t.proc.k.bankClaims[c]++
+	} else {
+		t.bankColors = removeSorted(t.bankColors, c)
+		t.proc.k.bankClaims[c]--
+	}
+}
+
+// setLLC is setBank for LLC color c and the task's LLC bitmap.
+func (t *Task) setLLC(c int, on bool) {
+	if t.ownsLLC(c) == on {
+		return
+	}
+	t.llcMask[c>>6] ^= 1 << (c & 63)
+	if on {
+		t.llcColors = insertSorted(t.llcColors, c)
+		t.proc.k.llcClaims[c]++
+	} else {
+		t.llcColors = removeSorted(t.llcColors, c)
+		t.proc.k.llcClaims[c]--
+	}
 }
 
 // ID returns the task identifier (unique across the kernel).
@@ -239,6 +295,7 @@ func (t *Task) Mmap(addr, length uint64, prot uint32) (uint64, error) {
 	}
 	t.proc.nextVA += size
 	t.proc.regions = append(t.proc.regions, region{base, base + size, t})
+	t.proc.starts = append(t.proc.starts, base)
 	return base, nil
 }
 
@@ -252,15 +309,7 @@ func (t *Task) setColor(arg uint64) error {
 		if color < 0 || color >= k.mapping.NumBankColors() {
 			return fmt.Errorf("%w: memory color %d (have %d)", ErrBadColor, color, k.mapping.NumBankColors())
 		}
-		if mode == SetMemColor {
-			if !t.bankSet[color] {
-				t.bankSet[color] = true
-				t.bankColors = insertSorted(t.bankColors, color)
-			}
-		} else if t.bankSet[color] {
-			t.bankSet[color] = false
-			t.bankColors = removeSorted(t.bankColors, color)
-		}
+		t.setBank(color, mode == SetMemColor)
 		t.usingBank = len(t.bankColors) > 0
 		for i := range t.nodeSet {
 			t.nodeSet[i] = false
@@ -272,20 +321,12 @@ func (t *Task) setColor(arg uint64) error {
 		if color < 0 || color >= k.mapping.NumLLCColors() {
 			return fmt.Errorf("%w: LLC color %d (have %d)", ErrBadColor, color, k.mapping.NumLLCColors())
 		}
-		if mode == SetLLCColor {
-			if !t.llcSet[color] {
-				t.llcSet[color] = true
-				t.llcColors = insertSorted(t.llcColors, color)
-			}
-		} else if t.llcSet[color] {
-			t.llcSet[color] = false
-			t.llcColors = removeSorted(t.llcColors, color)
-		}
+		t.setLLC(color, mode == SetLLCColor)
 		t.usingLLC = len(t.llcColors) > 0
 	default:
 		return fmt.Errorf("%w: unknown color mode %#x", ErrBadMmap, mode>>colorModeShift)
 	}
-	t.comboCursor = 0
+	t.comboCursor, t.comboLLC = 0, 0
 	// Recoloring flushes the task's TLB — the conservative model of a
 	// recolor-triggered shootdown (cached translations stay valid, so
 	// this affects wall-clock cost only, never simulated state).
