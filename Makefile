@@ -52,10 +52,11 @@ bench-gate:
 
 # Zero-allocation gate, two halves (see CONTRIBUTING.md):
 #   1. The AllocsPerRun tests pin the serve colored fast path, the
-#      miss path on a drained shard, and the kernel's LLC-only parked
-#      fault and borrow-color ladder fault at exactly 0 allocs/op. They
-#      must run without -race (the race detector's instrumentation
-#      allocates; under -race they skip themselves).
+#      miss path on a drained shard and the borrow-color rung, the
+#      kernel's LLC-only parked fault and borrow-color ladder fault,
+#      and a wire Alloc+Free exchange with a daemon at exactly 0
+#      allocs/op. They must run without -race (the race detector's
+#      instrumentation allocates; under -race they skip themselves).
 #   2. tintstat -exact-allocs checks the engine harness's measured
 #      allocs/op against the checked-in smoke baseline: a one-sided
 #      growth gate (2% + 0.01 tolerance) over whole-process Mallocs
@@ -63,7 +64,7 @@ bench-gate:
 #      accidental per-op allocation on any hot path the suite
 #      exercises, not just the serve front-end.
 alloc-gate:
-	$(GO) test -run TestZeroAlloc -count=1 -v ./internal/serve ./internal/kernel
+	$(GO) test -run TestZeroAlloc -count=1 -v ./internal/serve ./internal/kernel ./internal/wire
 	$(GO) run ./cmd/tintbench -exp bench -scale 0.05 -repeats 1 \
 		-bench-parallel 1,2 -bench-samples 3 -out /tmp/tint_alloc.json
 	$(GO) run ./cmd/tintstat -exact-allocs -threshold 1000000000 \
@@ -147,6 +148,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRadixPT -fuzztime=30s ./internal/kernel
 	$(GO) test -fuzz=FuzzColorPop -fuzztime=30s ./internal/kernel
 	$(GO) test -fuzz=FuzzHeapBlockTable -fuzztime=30s ./internal/heap
+	$(GO) test -fuzz=FuzzServePop -fuzztime=30s ./internal/serve
 	$(GO) test -fuzz=FuzzWireFrame -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=30s ./internal/bench

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"github.com/tintmalloc/tintmalloc/internal/phys"
 )
@@ -94,17 +95,36 @@ func (ct *colorTable) popExact(bc, lc int) (phys.Frame, bool) {
 // (bc, lc) is non-empty and whose bit is set in mask (a row-layout
 // LLC bitmap), or -1 if there is none.
 func (ct *colorTable) first(bc int, mask []uint64, lo, hi int) int {
+	return FirstInRow(ct.occ[bc*ct.words:(bc+1)*ct.words], mask, lo, hi)
+}
+
+// FirstInRow returns the lowest bit index in [lo, hi) set in both row
+// and mask, or -1 if there is none. Both are bitmaps in the occupancy
+// row layout (bit i is bit i%64 of word i/64): row is one bank color's
+// occupancy row, of the kernel's color table or of a serve shard, and
+// mask is an LLC color set. It is the one row scan of both stores.
+//
+// Row words are read with atomic loads, plain loads on amd64, so a
+// serve shard can scan a row that other goroutines' pops and parks
+// update; mask is read plainly and must not change during the scan.
+func FirstInRow(row, mask []uint64, lo, hi int) int {
 	if lo >= hi {
 		return -1
 	}
-	row := ct.occ[bc*ct.words : (bc+1)*ct.words]
-	last := (hi - 1) >> 6
-	// m starts as the bits of word w inside [lo, hi).
-	for w, m := lo>>6, ^uint64(0)<<(lo&63); w <= last; w, m = w+1, ^uint64(0) {
-		if w == last {
-			m &= ^uint64(0) >> (63 - (hi-1)&63)
+	// The bits of [lo, hi) in its first and its last word.
+	first, last := lo>>6, (hi-1)>>6
+	lm, hm := ^uint64(0)<<(lo&63), ^uint64(0)>>(63-(hi-1)&63)
+	if first == last { // every range when nLLC <= 64
+		if m := atomic.LoadUint64(&row[first]) & mask[first] & lm & hm; m != 0 {
+			return first<<6 | bits.TrailingZeros64(m)
 		}
-		if m &= row[w] & mask[w]; m != 0 {
+		return -1
+	}
+	for w, m := first, lm; w <= last; w, m = w+1, ^uint64(0) {
+		if w == last {
+			m &= hm
+		}
+		if m &= atomic.LoadUint64(&row[w]) & mask[w]; m != 0 {
 			return w<<6 | bits.TrailingZeros64(m)
 		}
 	}

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"sync/atomic"
+
 	"github.com/tintmalloc/tintmalloc/internal/kernel"
 	"github.com/tintmalloc/tintmalloc/internal/phys"
 )
@@ -10,10 +12,10 @@ import (
 // a bucket, which the auditor must name.
 func (s *Server) ClearOccupancyBit(i, bc, lc int) {
 	sh := s.shards[i]
-	b := sh.localOf[bc]*sh.nLLC + lc
-	mu := &sh.stripes[b%len(sh.stripes)]
+	li := sh.localOf[bc]
+	mu := &sh.stripes[(li*sh.nLLC+lc)%len(sh.stripes)]
 	mu.Lock()
-	sh.occ[b/64].And(^(1 << (b % 64)))
+	atomic.AndUint64(&sh.occ[li*sh.words+lc>>6], ^uint64(1<<(lc&63)))
 	mu.Unlock()
 }
 

@@ -117,7 +117,7 @@ func (s *Server) VisitShardBuckets(i int, fn func(bc, lc int, frames []phys.Fram
 		mu := &sh.stripes[b%len(sh.stripes)]
 		mu.Lock()
 		frames = append(frames[:0], sh.lists[b]...)
-		occupied := sh.occupied(b)
+		occupied := sh.occupied(b/sh.nLLC, b%sh.nLLC)
 		mu.Unlock()
 		fn(sh.banks[b/sh.nLLC], b%sh.nLLC, frames, occupied)
 	}

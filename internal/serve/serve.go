@@ -232,9 +232,10 @@ type Client struct {
 
 	usingBank  bool
 	usingLLC   bool
-	bankColors []int   // sorted owned bank colors
-	llcColors  []int   // sorted owned LLC colors
-	banksOn    [][]int // node -> owned bank colors on that node
+	bankColors []int    // sorted owned bank colors
+	llcColors  []int    // sorted owned LLC colors
+	llcMask    []uint64 // owned LLC colors, in the shards' occupancy row layout
+	banksOn    [][]int  // node -> owned bank colors on that node
 	colorsSet  bool
 	retired    atomic.Bool // set by Close
 
@@ -277,8 +278,9 @@ func (c *Client) OwnsLLCColor(lc int) bool {
 // SetColors installs the client's color claim — the front-end
 // analogue of the paper's mmap color-selection protocol, taken whole
 // instead of color by color. Empty slices leave the respective
-// dimension uncolored. SetColors may be called at most once, before
-// the client's first allocation.
+// dimension uncolored. A color may appear once per list, so a claim
+// holds at most every bank color and every LLC color. SetColors may
+// be called at most once, before the client's first allocation.
 func (c *Client) SetColors(bank, llc []int) error {
 	s := c.srv
 	if c.retired.Load() {
@@ -287,20 +289,16 @@ func (c *Client) SetColors(bank, llc []int) error {
 	if c.colorsSet {
 		return fmt.Errorf("serve: client %d colors already set", c.id)
 	}
-	for _, bc := range bank {
-		if bc < 0 || bc >= s.mapping.NumBankColors() {
-			return fmt.Errorf("serve: bank color %d out of range [0,%d)", bc, s.mapping.NumBankColors())
-		}
+	bankColors, err := sortedColors("bank", bank, s.mapping.NumBankColors())
+	if err != nil {
+		return err
 	}
-	for _, lc := range llc {
-		if lc < 0 || lc >= s.mapping.NumLLCColors() {
-			return fmt.Errorf("serve: LLC color %d out of range [0,%d)", lc, s.mapping.NumLLCColors())
-		}
+	llcColors, err := sortedColors("LLC", llc, s.mapping.NumLLCColors())
+	if err != nil {
+		return err
 	}
-	c.bankColors = append([]int(nil), bank...)
-	sort.Ints(c.bankColors)
-	c.llcColors = append([]int(nil), llc...)
-	sort.Ints(c.llcColors)
+	c.bankColors, c.llcColors = bankColors, llcColors
+	c.llcMask = llcMask(s.shards[0].words, c.llcColors)
 	c.usingBank = len(c.bankColors) > 0
 	c.usingLLC = len(c.llcColors) > 0
 	c.banksOn = make([][]int, s.mapping.Nodes())
@@ -316,6 +314,22 @@ func (c *Client) SetColors(bank, llc []int) error {
 	}
 	c.colorsSet = true
 	return nil
+}
+
+// sortedColors returns a sorted copy of one color list of a claim,
+// rejecting a color outside [0, n) or one that appears twice.
+func sortedColors(axis string, colors []int, n int) ([]int, error) {
+	out := append([]int(nil), colors...)
+	sort.Ints(out)
+	for i, col := range out {
+		if col < 0 || col >= n {
+			return nil, fmt.Errorf("serve: %s color %d out of range [0,%d)", axis, col, n)
+		}
+		if i > 0 && col == out[i-1] {
+			return nil, fmt.Errorf("serve: %s color %d repeated", axis, col)
+		}
+	}
+	return out, nil
 }
 
 // Close retires the client: its color claim stops counting as

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -299,11 +301,24 @@ func TestSetColorsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetColors([]int{m.NumBankColors()}, nil); err == nil {
-		t.Error("out-of-range bank color accepted")
+	for _, tc := range []struct {
+		name      string
+		bank, llc []int
+		want      string
+	}{
+		{"bank color past the range", []int{m.NumBankColors()}, nil, "out of range"},
+		{"negative LLC color", nil, []int{-1}, "out of range"},
+		{"repeated bank color", []int{4, 0, 4}, []int{1}, "bank color 4 repeated"},
+		{"repeated LLC color", []int{0}, []int{31, 2, 31}, "LLC color 31 repeated"},
+		{"repeated color in an LLC-only claim", nil, []int{5, 5}, "LLC color 5 repeated"},
+	} {
+		err := c.SetColors(tc.bank, tc.llc)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: SetColors(%v, %v) = %v, want an error containing %q", tc.name, tc.bank, tc.llc, err, tc.want)
+		}
 	}
-	if err := c.SetColors(nil, []int{-1}); err == nil {
-		t.Error("negative LLC color accepted")
+	if bank, llc := s.ClaimCounts(); slices.ContainsFunc(bank, nonZero) || slices.ContainsFunc(llc, nonZero) {
+		t.Errorf("rejected claims left counts behind: bank %v, LLC %v", bank, llc)
 	}
 	if err := c.SetColors([]int{0}, []int{0}); err != nil {
 		t.Fatal(err)
@@ -312,6 +327,8 @@ func TestSetColorsValidation(t *testing.T) {
 		t.Error("second SetColors accepted")
 	}
 }
+
+func nonZero(n int) bool { return n != 0 }
 
 // DisableBorrow is the paper-faithful fail-hard mode: once the home
 // shard runs out of claim-matching pages the client gets ErrNoMemory,

@@ -4,11 +4,12 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/tintmalloc/tintmalloc/internal/kernel"
 	"github.com/tintmalloc/tintmalloc/internal/phys"
 )
 
 // Zero-allocation gates for the serving hot paths (DESIGN.md Sec. 14).
-// Both tests drive the public Alloc/Free surface to a deterministic
+// Each test drives the public Alloc/Free surface to a deterministic
 // steady state and then require exactly 0 allocs/op from
 // testing.AllocsPerRun, which counts mallocs from every goroutine.
 // The measured loops are repeated manually first because
@@ -17,7 +18,8 @@ import (
 //
 // The gates assert the shard's miss counter too, so each test proves
 // it exercised the path it claims to gate: the fast-path test must
-// never miss, the miss test must miss every iteration.
+// never miss, the miss and borrow-color tests must miss every
+// iteration.
 
 // mustZeroAllocs runs AllocsPerRun and fails unless the loop is
 // allocation-free. Under the race detector the instrumentation itself
@@ -136,6 +138,53 @@ func TestZeroAllocInlineMiss(t *testing.T) {
 	})
 	if d := int(sh.misses.Load() - missesBefore); d < iters {
 		t.Fatalf("only %d misses over %d iterations; the loop did not reach serveMiss", d, iters)
+	}
+}
+
+// TestZeroAllocBorrowColor gates the borrow ladder's first rung: a
+// colored client past its claim, with its home zone dry, is served a
+// parked page of a bank color no client claims (RungBorrowColor).
+// The client first takes every frame of its claim on node 0, which
+// shatters the whole zone onto the color lists; each iteration then
+// misses, walks the ladder to the same parked page (LIFO), and frees
+// it back onto its bucket, so no state drifts between iterations.
+func TestZeroAllocBorrowColor(t *testing.T) {
+	s, m, top := testServer(t, Config{})
+	c, err := s.NewClient(top.CoresOfNode(0)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetColors(m.BankColorsOfNode(0)[:2], []int{3, 7}); err != nil {
+		t.Fatal(err)
+	}
+	borrowed := func() uint64 { return s.Stats().Borrows[kernel.RungBorrowColor] }
+	for i := 0; borrowed() == 0; i++ {
+		if i == int(m.Frames()) {
+			t.Fatal("never reached the borrow-color rung")
+		}
+		if _, err := c.Alloc(); err != nil {
+			t.Fatalf("alloc %d: %v", i, err)
+		}
+	}
+
+	sh := s.shards[0]
+	missesBefore := sh.misses.Load()
+	iters := 0
+	mustZeroAllocs(t, "borrow-color rung", func() {
+		iters++
+		f, err := c.Alloc()
+		if err != nil {
+			t.Fatalf("alloc: %v", err)
+		}
+		if r := s.LoanRung(f); r != kernel.RungBorrowColor {
+			t.Fatalf("frame %d served at rung %v, want %v", f, r, kernel.RungBorrowColor)
+		}
+		if err := c.Free(f); err != nil {
+			t.Fatalf("free: %v", err)
+		}
+	})
+	if d := int(sh.misses.Load() - missesBefore); d < iters {
+		t.Fatalf("only %d misses over %d iterations; the loop did not reach the ladder", d, iters)
 	}
 }
 

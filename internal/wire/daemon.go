@@ -350,6 +350,7 @@ func (s *session) handleHello(p []byte) bool {
 	}
 	if len(h.Bank) > 0 || len(h.LLC) > 0 {
 		if err := cl.SetColors(h.Bank, h.LLC); err != nil {
+			cl.Close()
 			return s.replyErr(fmt.Errorf("%w: %v", errInvalid, err))
 		}
 	}

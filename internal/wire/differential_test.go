@@ -297,6 +297,46 @@ func TestWireErrorsMatchSentinels(t *testing.T) {
 	}
 }
 
+// TestHelloRepeatedColorRefused sends Hellos whose claims repeat a
+// color. Each is refused as an invalid request naming the color, and
+// leaves no live client and no claim count behind; a later valid
+// Hello on the same session succeeds.
+func TestHelloRepeatedColorRefused(t *testing.T) {
+	d, addr := newTestDaemon(t)
+	srv := d.Server()
+	c, err := Dial("unix", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		bank, llc []int
+		want      string
+	}{
+		{[]int{0, 0}, []int{31}, "bank color 0 repeated"},
+		{[]int{0}, []int{31, 31}, "LLC color 31 repeated"},
+	} {
+		err := c.Hello(0, tc.bank, tc.llc)
+		if !errors.Is(err, errInvalid) || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("Hello(%v, %v) = %v, want an invalid request containing %q", tc.bank, tc.llc, err, tc.want)
+		}
+		if n := len(srv.Clients()); n != 0 {
+			t.Errorf("Hello(%v, %v): %d live clients after the refusal", tc.bank, tc.llc, n)
+		}
+		bank, llc := srv.ClaimCounts()
+		for col, n := range append(bank, llc...) {
+			if n != 0 {
+				t.Fatalf("Hello(%v, %v): claim count %d at index %d after the refusal", tc.bank, tc.llc, n, col)
+			}
+		}
+	}
+	if err := c.Hello(0, []int{0}, []int{31}); err != nil {
+		t.Fatalf("valid Hello after the refusals: %v", err)
+	}
+	if err := c.Goodbye(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDoubleCloseDaemon pins Close idempotence at the daemon level.
 func TestDoubleCloseDaemon(t *testing.T) {
 	d, _ := newTestDaemon(t)

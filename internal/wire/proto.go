@@ -133,16 +133,27 @@ func (t MsgType) String() string {
 }
 
 // WriteFrame writes one frame. The payload must fit MaxFrameLen-1.
+// A writer that is also an io.ByteWriter (bufio.Writer, bytes.Buffer)
+// takes the header byte by byte, so no header array escapes to the
+// heap and the call allocates nothing.
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	n := 1 + len(payload)
 	if n > MaxFrameLen {
 		return fmt.Errorf("%w: frame length %d exceeds %d", ErrProtocol, n, MaxFrameLen)
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(n))
-	hdr[4] = byte(t)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	if bw, ok := w.(io.ByteWriter); ok {
+		for _, b := range [5]byte{byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n), byte(t)} {
+			if err := bw.WriteByte(b); err != nil {
+				return err
+			}
+		}
+	} else {
+		var hdr [5]byte
+		binary.BigEndian.PutUint32(hdr[:4], uint32(n))
+		hdr[4] = byte(t)
+		if _, err := w.Write(hdr[:]); err != nil {
+			return err
+		}
 	}
 	if len(payload) > 0 {
 		if _, err := w.Write(payload); err != nil {
@@ -152,19 +163,24 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	return nil
 }
 
-// ReadFrame reads one frame, reusing buf when it is large enough. It
-// returns io.EOF only on a clean close (zero bytes read); a frame
-// truncated mid-way, an empty frame, an unknown type, or a length
-// beyond MaxFrameLen all fail with an ErrProtocol-wrapped error.
+// ReadFrame reads one frame, reusing buf when it is large enough: the
+// length header is read into buf's first bytes, then the frame over
+// it, so with a reused buffer the call allocates nothing. It returns
+// io.EOF only on a clean close (zero bytes read); a frame truncated
+// mid-way, an empty frame, an unknown type, or a length beyond
+// MaxFrameLen all fail with an ErrProtocol-wrapped error.
 func ReadFrame(r io.Reader, buf []byte) (MsgType, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 64) // the header, and most frames after it
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, fmt.Errorf("%w: truncated header: %v", ErrProtocol, err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n == 0 {
 		return 0, nil, fmt.Errorf("%w: empty frame", ErrProtocol)
 	}

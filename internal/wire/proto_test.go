@@ -153,6 +153,15 @@ func TestGoldenFrameBytes(t *testing.T) {
 	if got := hex.EncodeToString(buf.Bytes()); got != wantAlloc {
 		t.Fatalf("alloc reply bytes drifted:\n got %s\nwant %s", got, wantAlloc)
 	}
+	// A writer that is not an io.ByteWriter takes the header in one
+	// Write; the bytes are the same.
+	buf.Reset()
+	if err := WriteFrame(struct{ io.Writer }{&buf}, MsgAllocReply, appendFrameID(nil, 0x1234)); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != wantAlloc {
+		t.Fatalf("alloc reply bytes through a plain io.Writer drifted:\n got %s\nwant %s", got, wantAlloc)
+	}
 	// The stats reply is fixed-width: 4 serve counters, the rung count
 	// byte, 3 rung counters, 8 more serve counters, 6 daemon counters.
 	const wantStatsLen = 8*4 + 1 + 8*3 + 8*8 + 8*6
