@@ -10,7 +10,7 @@
 //
 //	tintserve                              # 16 clients over all 4 shards
 //	tintserve -nodes 1 -clients 16         # same load on a single shard
-//	tintserve -ops 100000 -highwater 48 -stripes 4
+//	tintserve -ops 100000 -highwater 48
 //	tintserve -disable-borrow              # paper-faithful fail-hard mode
 //
 // Exit status is 0 on a clean audited run, 1 on a runtime failure,
@@ -34,7 +34,6 @@ type options struct {
 	ops       int
 	memGiB    float64
 	highwater int
-	stripes   int
 	noBorrow  bool
 }
 
@@ -56,8 +55,8 @@ func validate(o options) error {
 	if !(o.memGiB > 0) || math.IsInf(o.memGiB, 0) {
 		return fmt.Errorf("-mem %g: installed memory must be finite and positive", o.memGiB)
 	}
-	if o.highwater < 0 || o.stripes < 0 {
-		return fmt.Errorf("-highwater/-stripes must not be negative")
+	if o.highwater < 0 {
+		return fmt.Errorf("-highwater %d: must not be negative", o.highwater)
 	}
 	if o.highwater > math.MaxInt32 {
 		return fmt.Errorf("-highwater %d exceeds %d", o.highwater, math.MaxInt32)
@@ -72,7 +71,6 @@ func main() {
 	flag.IntVar(&o.ops, "ops", 20000, "churn operations per client")
 	flag.Float64Var(&o.memGiB, "mem", 2, "installed physical memory in GiB")
 	flag.IntVar(&o.highwater, "highwater", 0, "concurrent refill misses per shard before ErrBusy (0 = default 192)")
-	flag.IntVar(&o.stripes, "stripes", 0, "lock stripes per shard's color lists (0 = default 16)")
 	flag.BoolVar(&o.noBorrow, "disable-borrow", false, "fail with ErrNoMemory instead of walking the cross-shard ladder")
 	flag.Parse()
 
@@ -84,7 +82,6 @@ func main() {
 
 	cfg := serve.Config{
 		HighWater:     o.highwater,
-		Stripes:       o.stripes,
 		DisableBorrow: o.noBorrow,
 	}
 	spec := bench.ServeSpec{

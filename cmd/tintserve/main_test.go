@@ -25,10 +25,9 @@ func TestValidateOptions(t *testing.T) {
 		{name: "NaN mem", mutate: func(o *options) { o.memGiB = math.NaN() }, wantErr: true},
 		{name: "infinite mem", mutate: func(o *options) { o.memGiB = math.Inf(1) }, wantErr: true},
 		{name: "negative highwater", mutate: func(o *options) { o.highwater = -1 }, wantErr: true},
-		{name: "negative stripes", mutate: func(o *options) { o.stripes = -1 }, wantErr: true},
 		{name: "highwater past int32", mutate: func(o *options) { o.highwater = math.MaxInt32 + 1 }, wantErr: true},
 		{name: "highwater at int32 max", mutate: func(o *options) { o.highwater = math.MaxInt32 }},
-		{name: "explicit tuning accepted", mutate: func(o *options) { o.highwater = 24; o.stripes = 4 }},
+		{name: "explicit tuning accepted", mutate: func(o *options) { o.highwater = 24 }},
 	}
 	for _, c := range cases {
 		o := good

@@ -40,7 +40,6 @@ type options struct {
 	listen    string
 	memGiB    float64
 	highwater int
-	stripes   int
 	noBorrow  bool
 }
 
@@ -70,8 +69,8 @@ func validate(o options) error {
 	if !(o.memGiB > 0) || math.IsInf(o.memGiB, 0) {
 		return fmt.Errorf("-mem %g: installed memory must be finite and positive", o.memGiB)
 	}
-	if o.highwater < 0 || o.stripes < 0 {
-		return fmt.Errorf("-highwater/-stripes must not be negative")
+	if o.highwater < 0 {
+		return fmt.Errorf("-highwater %d: must not be negative", o.highwater)
 	}
 	if o.highwater > math.MaxInt32 {
 		return fmt.Errorf("-highwater %d exceeds %d", o.highwater, math.MaxInt32)
@@ -87,7 +86,6 @@ func main() {
 	flag.StringVar(&o.listen, "listen", "unix:tintserved.sock", "transport spec: unix:PATH or tcp:HOST:PORT")
 	flag.Float64Var(&o.memGiB, "mem", 2, "installed physical memory in GiB")
 	flag.IntVar(&o.highwater, "highwater", 0, "concurrent refill misses per shard before ErrBusy (0 = default 192)")
-	flag.IntVar(&o.stripes, "stripes", 0, "lock stripes per shard's color lists (0 = default)")
 	flag.BoolVar(&o.noBorrow, "disable-borrow", false, "fail with ErrNoMemory instead of walking the cross-shard ladder")
 	flag.Parse()
 
@@ -106,7 +104,6 @@ func main() {
 	}
 	d, err := wire.NewDaemon(topo, m, serve.Config{
 		HighWater:     o.highwater,
-		Stripes:       o.stripes,
 		DisableBorrow: o.noBorrow,
 	})
 	if err != nil {

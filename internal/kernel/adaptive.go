@@ -152,12 +152,6 @@ type CompactStats struct {
 	Cost    clock.Dur // simulated migration cost (charge at the barrier)
 }
 
-// Sum returns the migrations attempted (moved + failed), the unit the
-// move budget counts.
-func (c CompactStats) Sum() int {
-	return c.LoansMoved + c.LoansFailed + c.PagesMoved + c.PagesFailed
-}
-
 // CompactStep runs one budgeted increment of the compaction daemon
 // for this task: first migrate up to `budget` of the task's
 // degradation-ladder loans home (the generalized ReclaimLoans), then

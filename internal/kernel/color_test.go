@@ -3,6 +3,7 @@ package kernel
 import (
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"github.com/tintmalloc/tintmalloc/internal/phys"
@@ -41,7 +42,7 @@ func colorPopRun(t *testing.T, data []byte) {
 	}
 
 	ct := newColorTable(nBank, nLLC, per)
-	k := &Kernel{colors: ct, bankClaims: make([]int32, nBank), llcClaims: make([]int32, nLLC)}
+	k := &Kernel{colors: ct, bankClaims: make([]atomic.Int32, nBank), llcClaims: make([]atomic.Int32, nLLC)}
 	task := &Task{proc: &Process{k: k}, bankSet: make([]bool, nBank), llcMask: make([]uint64, ct.words), nodeOrder: order}
 	ref := newRefColorTable(nBank, nLLC, per)
 	rt := &refTask{nodeOrder: order}
@@ -110,8 +111,8 @@ func colorPopRun(t *testing.T, data []byte) {
 			if !slices.Equal(l, ref.lists[bc*nLLC+lc]) {
 				t.Fatalf("list (%d, %d) = %v, reference %v", bc, lc, l, ref.lists[bc*nLLC+lc])
 			}
-			if ct.occupied(bc, lc) != (len(l) > 0) {
-				t.Fatalf("list (%d, %d) holds %d frames, occupancy bit %v", bc, lc, len(l), ct.occupied(bc, lc))
+			if ct.Occupied(bc, lc) != (len(l) > 0) {
+				t.Fatalf("list (%d, %d) holds %d frames, occupancy bit %v", bc, lc, len(l), ct.Occupied(bc, lc))
 			}
 		}
 	}

@@ -145,59 +145,27 @@ func (k *Kernel) degradedColoredAlloc(t *Task) (phys.Frame, Rung, bool) {
 	return 0, RungNone, false
 }
 
-// popUnassigned pops a parked page on `node` borrowable without
-// touching any task's guarantee: for bank-constrained borrowers a
-// page of a bank color no task claims (preferring the borrower's own
-// LLC colors so that half of the guarantee survives), for LLC-only
-// borrowers a page of an LLC color no task claims, served from the
-// node's banks. Whether a color is claimed is read from the per-color
-// counts that Task.setBank and Task.setLLC keep.
+// popUnassigned pops the parked page on node that Rows.Borrow lends
+// without touching any task's guarantee: a bank color no task claims
+// for bank-constrained borrowers, an LLC color no task claims for
+// LLC-only ones. Whether a color is claimed is read from the
+// per-color counts that Task.setBank and Task.setLLC keep.
 func (k *Kernel) popUnassigned(t *Task, node int) (phys.Frame, bool) {
-	ct := k.colors
-	lo, hi := node*ct.perNode, (node+1)*ct.perNode
-	if t.usingBank {
-		if t.usingLLC {
-			for bc := lo; bc < hi; bc++ {
-				if k.bankClaims[bc] != 0 {
-					continue
-				}
-				if lc := ct.first(bc, t.llcMask, 0, ct.nLLC); lc >= 0 {
-					return ct.popExact(bc, lc)
-				}
-			}
-		}
-		for bc := lo; bc < hi; bc++ {
-			if k.bankClaims[bc] != 0 {
-				continue
-			}
-			if f, ok := ct.popBankAny(bc, t.llcScan); ok {
-				return f, true
-			}
-		}
+	bc, lc := k.colors.Borrow(node, t.usingBank, t.llcMask, t.llcScan, k.bankClaims, k.llcClaims)
+	if bc < 0 {
 		return 0, false
 	}
-	for lc := 0; lc < ct.nLLC; lc++ {
-		if k.llcClaims[lc] != 0 || ct.llcCount[lc] == 0 {
-			continue
-		}
-		for bc := lo; bc < hi; bc++ {
-			if ct.occupied(bc, lc) {
-				return ct.popExact(bc, lc)
-			}
-		}
-	}
-	return 0, false
+	return k.colors.popExact(bc, lc)
 }
 
-// popParkedOnNode pops any parked page of node n, scanning its bank
-// colors in ascending order and each bank color's LLC columns from 0.
+// popParkedOnNode pops any parked page of node n: the newest page of
+// its first occupied list.
 func (k *Kernel) popParkedOnNode(n int) (phys.Frame, bool) {
-	for bc := n * k.colors.perNode; bc < (n+1)*k.colors.perNode; bc++ {
-		if f, ok := k.colors.popBankAny(bc, 0); ok {
-			return f, true
-		}
+	bc, lc := k.colors.First(n)
+	if bc < 0 {
+		return 0, false
 	}
-	return 0, false
+	return k.colors.popExact(bc, lc)
 }
 
 // popAnyParked pops any parked page anywhere, visiting nodes in the
@@ -219,22 +187,13 @@ func (k *Kernel) popAnyParked(t *Task) (phys.Frame, bool) {
 // Returns the number of frames reclaimed.
 func (k *Kernel) reclaimParkedZone(n int) uint64 {
 	var reclaimed uint64
-	ct := k.colors
-	for bc := n * ct.perNode; bc < (n+1)*ct.perNode; bc++ {
-		for lc := ct.first(bc, ct.allLLC, 0, ct.nLLC); lc >= 0; lc = ct.first(bc, ct.allLLC, lc+1, ct.nLLC) {
-			for {
-				f, ok := ct.popExact(bc, lc)
-				if !ok {
-					break
-				}
-				k.coloredFrame[f] = false
-				home := k.mapping.NodeOfFrame(f)
-				if err := k.zones[home].Free(f-k.zoneLo[home], 0); err != nil {
-					panic(fmt.Sprintf("kernel: reclaimParkedZone(%d): %v", n, err))
-				}
-				reclaimed++
-			}
+	for f, ok := k.popParkedOnNode(n); ok; f, ok = k.popParkedOnNode(n) {
+		k.coloredFrame[f] = false
+		home := k.mapping.NodeOfFrame(f)
+		if err := k.zones[home].Free(f-k.zoneLo[home], 0); err != nil {
+			panic(fmt.Sprintf("kernel: reclaimParkedZone(%d): %v", n, err))
 		}
+		reclaimed++
 	}
 	k.stats.ParkedReclaimed += reclaimed
 	return reclaimed

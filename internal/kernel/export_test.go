@@ -22,7 +22,11 @@ func (p *Process) SetRegionEnd(va, end uint64) {
 // them, a set bit over an empty list sends pops to nothing. The
 // auditor must name either.
 func (k *Kernel) FlipOccupancyBit(bc, lc int) {
-	k.colors.occ[bc*k.colors.words+lc>>6] ^= 1 << (lc & 63)
+	if k.colors.Occupied(bc, lc) {
+		k.colors.Clear(bc, lc)
+	} else {
+		k.colors.Set(bc, lc)
+	}
 }
 
 // SkewColorClaims moves the claim count of bank color c (bank true)
@@ -30,8 +34,8 @@ func (k *Kernel) FlipOccupancyBit(bc, lc int) {
 // ladder would then lend a claimed color or withhold a free one.
 func (k *Kernel) SkewColorClaims(bank bool, c, d int) {
 	if bank {
-		k.bankClaims[c] += int32(d)
+		k.bankClaims[c].Add(int32(d))
 	} else {
-		k.llcClaims[c] += int32(d)
+		k.llcClaims[c].Add(int32(d))
 	}
 }

@@ -21,7 +21,7 @@ import (
 func (k *Kernel) VisitColorLists(fn func(bankColor, llcColor int, frames []phys.Frame, occupied bool)) {
 	for bc := 0; bc < k.colors.nBank; bc++ {
 		for lc := 0; lc < k.colors.nLLC; lc++ {
-			fn(bc, lc, k.colors.list(bc, lc), k.colors.occupied(bc, lc))
+			fn(bc, lc, k.colors.list(bc, lc), k.colors.Occupied(bc, lc))
 		}
 	}
 }
@@ -31,9 +31,9 @@ func (k *Kernel) VisitColorLists(fn func(bankColor, llcColor int, frames []phys.
 // the degradation ladder reads to find unclaimed colors.
 func (k *Kernel) ColorClaims(bank bool, c int) int {
 	if bank {
-		return int(k.bankClaims[c])
+		return int(k.bankClaims[c].Load())
 	}
-	return int(k.llcClaims[c])
+	return int(k.llcClaims[c].Load())
 }
 
 // VisitZoneFree calls fn for every free buddy block of node n's zone,

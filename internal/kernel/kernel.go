@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"github.com/tintmalloc/tintmalloc/internal/buddy"
 	"github.com/tintmalloc/tintmalloc/internal/clock"
@@ -164,9 +165,11 @@ type Kernel struct {
 	colors  *colorTable
 	// bankClaims and llcClaims count, per color, the tasks whose TCB
 	// holds it. Task.setBank and Task.setLLC keep them; the ladder
-	// reads them to find colors no task has claimed.
-	bankClaims []int32
-	llcClaims  []int32
+	// reads them to find colors no task has claimed. They are atomics
+	// only so that Rows.Borrow reads the kernel's counts and serve's
+	// alike.
+	bankClaims []atomic.Int32
+	llcClaims  []atomic.Int32
 	// coloredFrame marks frames currently owned by the color lists
 	// or handed out through them; such frames return to the color
 	// lists on free rather than to the buddy (paper Sec. III-C).
@@ -244,8 +247,8 @@ func NewWithZones(topo *topology.Topology, mapping *phys.Mapping, cfg Config, zo
 		cfg:          cfg,
 		zones:        zones,
 		colors:       newColorTable(mapping.NumBankColors(), mapping.NumLLCColors(), mapping.BanksPerNode()),
-		bankClaims:   make([]int32, mapping.NumBankColors()),
-		llcClaims:    make([]int32, mapping.NumLLCColors()),
+		bankClaims:   make([]atomic.Int32, mapping.NumBankColors()),
+		llcClaims:    make([]atomic.Int32, mapping.NumLLCColors()),
 		coloredFrame: make([]bool, mapping.Frames()),
 		loanRung:     make([]uint8, mapping.Frames()),
 	}

@@ -100,9 +100,6 @@ func (p *Process) NewTask(core topology.CoreID) (*Task, error) {
 	return t, nil
 }
 
-// MappedPages returns the number of resident pages.
-func (p *Process) MappedPages() int { return p.pt.Len() }
-
 // findRegion returns the index of the entry, live or tombstone, whose
 // range holds va, or -1. It probes the last entry first, since a fresh
 // Mmap's first touch lands there. Otherwise it searches the starts
@@ -214,10 +211,10 @@ func (t *Task) setBank(c int, on bool) {
 	t.bankSet[c] = on
 	if on {
 		t.bankColors = insertSorted(t.bankColors, c)
-		t.proc.k.bankClaims[c]++
+		t.proc.k.bankClaims[c].Add(1)
 	} else {
 		t.bankColors = removeSorted(t.bankColors, c)
-		t.proc.k.bankClaims[c]--
+		t.proc.k.bankClaims[c].Add(-1)
 	}
 }
 
@@ -229,10 +226,10 @@ func (t *Task) setLLC(c int, on bool) {
 	t.llcMask[c>>6] ^= 1 << (c & 63)
 	if on {
 		t.llcColors = insertSorted(t.llcColors, c)
-		t.proc.k.llcClaims[c]++
+		t.proc.k.llcClaims[c].Add(1)
 	} else {
 		t.llcColors = removeSorted(t.llcColors, c)
-		t.proc.k.llcClaims[c]--
+		t.proc.k.llcClaims[c].Add(-1)
 	}
 }
 

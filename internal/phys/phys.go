@@ -303,9 +303,6 @@ func (m *Mapping) Frames() uint64 { return m.memBytes / PageSize }
 // Nodes returns the number of memory nodes.
 func (m *Mapping) Nodes() int { return m.nodes }
 
-// NodeSize returns the bytes of memory behind each controller.
-func (m *Mapping) NodeSize() uint64 { return m.nodeSize }
-
 // Channels returns the number of channels per controller.
 func (m *Mapping) Channels() int { return 1 << len(m.channelBits) }
 

@@ -274,13 +274,13 @@ func TestHammerNarrowClaims(t *testing.T) {
 	})
 }
 
-// A high-water mark of two concurrent misses per shard and two stripes
-// per shard must keep the same invariants. Misses are rare and short
+// A high-water mark of two concurrent misses per shard must keep the
+// same invariants. Misses are rare and short
 // here, so ErrBusy seldom fires; TestBackpressureConcurrentMisses
 // drives it deterministically.
 func TestHammerTinyQueues(t *testing.T) {
 	forEachMapper(t, func(t *testing.T, newMapping mapper) {
-		hammer(t, newMapping, serve.Config{HighWater: 2, Stripes: 2}, 250, false)
+		hammer(t, newMapping, serve.Config{HighWater: 2}, 250, false)
 	})
 }
 

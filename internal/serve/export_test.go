@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"sync/atomic"
-
 	"github.com/tintmalloc/tintmalloc/internal/kernel"
 	"github.com/tintmalloc/tintmalloc/internal/phys"
 )
@@ -12,10 +10,9 @@ import (
 // a bucket, which the auditor must name.
 func (s *Server) ClearOccupancyBit(i, bc, lc int) {
 	sh := s.shards[i]
-	li := sh.localOf[bc]
-	mu := &sh.stripes[(li*sh.nLLC+lc)%len(sh.stripes)]
+	mu := &sh.stripes[sh.bucket(bc, lc)%numStripes]
 	mu.Lock()
-	atomic.AndUint64(&sh.occ[li*sh.words+lc>>6], ^uint64(1<<(lc&63)))
+	sh.Clear(bc, lc)
 	mu.Unlock()
 }
 

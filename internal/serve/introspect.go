@@ -89,7 +89,7 @@ func (s *Server) ShardNode(i int) int { return s.shards[i].node }
 
 // ShardBankColors returns a copy of the bank colors shard i owns.
 func (s *Server) ShardBankColors(i int) []int {
-	return append([]int(nil), s.shards[i].banks...)
+	return s.mapping.BankColorsOfNode(s.shards[i].node)
 }
 
 // VisitShardFree visits shard i's buddy free blocks with
@@ -114,12 +114,13 @@ func (s *Server) VisitShardBuckets(i int, fn func(bc, lc int, frames []phys.Fram
 	// The outer slice is immutable after newShard; each bucket is read
 	// under its stripe below.
 	for b := range sh.lists { //tintvet:ignore guardedby: outer slice immutable after construction; buckets copied under their stripe
-		mu := &sh.stripes[b%len(sh.stripes)]
+		bc, lc := sh.bankLo+b/sh.nLLC, b%sh.nLLC
+		mu := &sh.stripes[b%numStripes]
 		mu.Lock()
 		frames = append(frames[:0], sh.lists[b]...)
-		occupied := sh.occupied(b/sh.nLLC, b%sh.nLLC)
+		occupied := sh.Occupied(bc, lc)
 		mu.Unlock()
-		fn(sh.banks[b/sh.nLLC], b%sh.nLLC, frames, occupied)
+		fn(bc, lc, frames, occupied)
 	}
 }
 

@@ -253,3 +253,62 @@ func TestAuditFlagsLoanGaugeDrift(t *testing.T) {
 		t.Fatalf("audit after skewing the gauge: %v\nwant the one violation %q", r.Err(), want)
 	}
 }
+
+// The borrow-color rung lends only on the axis the borrower colors
+// on, as the kernel's does: two clients on node 0 split one color
+// axis, and the first allocates past its claim, through every color
+// the rung may lend and on into the later rungs. No frame it borrows
+// at RungBorrowColor may carry the other client's color on its axis,
+// the auditor stays clean while it holds every frame, and once
+// nothing is left to borrow the ladder serves it at
+// RungLocalUncolored or RungRemote instead of failing.
+func TestBorrowColorStaysOnAxis(t *testing.T) {
+	top, m := bootPair(t, phys.DefaultSeparable)
+	banks := m.BankColorsOfNode(0)
+	half := len(banks) / 2
+	for _, tc := range []struct {
+		name string
+		bank [2][]int
+		llc  [2][]int
+	}{
+		{"llc-only", [2][]int{}, [2][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}},
+		{"mem+llc", [2][]int{banks[:half], banks[half:]}, [2][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := serve.New(top, m, serve.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var cl [2]*serve.Client
+			for i := range cl {
+				if cl[i], err = s.NewClient(top.CoresOfNode(0)[i]); err != nil {
+					t.Fatal(err)
+				}
+				if err := cl[i].SetColors(tc.bank[i], tc.llc[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a, b := cl[0], cl[1]
+			rungs := make(map[kernel.Rung]int)
+			reported := false
+			for i := 0; rungs[kernel.RungLocalUncolored]+rungs[kernel.RungRemote] < 64; i++ {
+				f, err := a.Alloc()
+				if err != nil {
+					t.Fatalf("alloc %d: %v after rungs %v", i+1, err, rungs)
+				}
+				rung := s.LoanRung(f)
+				rungs[rung]++
+				bc, lc := m.FrameBankColor(f), m.FrameLLCColor(f)
+				taken := a.UsingBank() && b.OwnsBankColor(bc) || !a.UsingBank() && b.OwnsLLCColor(lc)
+				if rung == kernel.RungBorrowColor && taken && !reported {
+					reported = true
+					t.Errorf("alloc %d: frame %d (bank %d, LLC %d) borrowed at %s from the other client's claim",
+						i+1, f, bc, lc, rung)
+				}
+			}
+			t.Logf("rungs %v", rungs)
+			auditServerClean(t, s)
+		})
+	}
+}

@@ -75,7 +75,7 @@ func TestParkProbeStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := serve.New(top, m, serve.Config{Stripes: 2})
+		s, err := serve.New(top, m, serve.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,7 +61,7 @@ func servePopRun(t *testing.T, data []byte) (hits [5]int) {
 	top := topology.Opteron6128()
 	var srv [2]*Server // the row walks, then the reference
 	for i := range srv {
-		if srv[i], err = New(top, m, Config{Stripes: 3}); err != nil {
+		if srv[i], err = New(top, m, Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,7 +71,7 @@ func servePopRun(t *testing.T, data []byte) (hits [5]int) {
 	// byBucket lists the node's frames of each bucket.
 	byBucket := make([][]phys.Frame, len(nodeBanks)*nLLC)
 	for f := sh.base; f < sh.base+phys.Frame(m.Frames()/uint64(m.Nodes())); f++ {
-		b := sh.localOf[m.FrameBankColor(f)]*nLLC + m.FrameLLCColor(f)
+		b := (m.FrameBankColor(f)-sh.bankLo)*nLLC + m.FrameLLCColor(f)
 		byBucket[b] = append(byBucket[b], f)
 	}
 	parked := make(map[phys.Frame]bool)
@@ -153,8 +153,8 @@ func servePopRun(t *testing.T, data []byte) (hits [5]int) {
 			if b&16 != 0 { // onto the claim's colors
 				li, lc := bkt/nLLC, bkt%nLLC
 				if len(bank) > 0 {
-					if l := sh.localOf[bank[next()%len(bank)]]; l >= 0 {
-						li = l
+					if bc := bank[next()%len(bank)]; m.NodeOfBankColor(bc) == node {
+						li = bc - sh.bankLo
 					}
 				}
 				if len(llc) > 0 {
@@ -198,12 +198,12 @@ func servePopRun(t *testing.T, data []byte) (hits [5]int) {
 	}
 
 	for b := range sh.lists {
-		li, lc := b/nLLC, b%nLLC
+		bc, lc := nodeBanks[b/nLLC], b%nLLC
 		if !slices.Equal(sh.lists[b], ref.lists[b]) {
-			t.Fatalf("bucket (%d, %d) = %v, reference %v", nodeBanks[li], lc, sh.lists[b], ref.lists[b])
+			t.Fatalf("bucket (%d, %d) = %v, reference %v", bc, lc, sh.lists[b], ref.lists[b])
 		}
-		if sh.occupied(li, lc) != (len(sh.lists[b]) > 0) {
-			t.Fatalf("bucket (%d, %d) holds %d frames, occupancy bit %v", nodeBanks[li], lc, len(sh.lists[b]), sh.occupied(li, lc))
+		if sh.Occupied(bc, lc) != (len(sh.lists[b]) > 0) {
+			t.Fatalf("bucket (%d, %d) holds %d frames, occupancy bit %v", bc, lc, len(sh.lists[b]), sh.Occupied(bc, lc))
 		}
 	}
 	if n := sh.parkedN.Load(); n != int64(len(parked)) {

@@ -7,11 +7,13 @@ import "github.com/tintmalloc/tintmalloc/internal/phys"
 // a combination index. Each probe locks its bucket and reads no
 // occupancy bit, so the reference cannot inherit a fault of the rows.
 // FuzzServePop holds shard.popMatch, popUnassigned and popAnyParked
-// to them frame by frame.
+// to them frame by frame. refPopUnassigned lends on the claim's
+// coloring axis only, the kernel's borrow rule.
 
-// refPopBucket pops the newest frame of bucket b under its stripe.
+// refPopBucket pops the newest frame of bucket b, the b-th of the
+// shard in (bank, LLC) order, under its stripe.
 func (sh *shard) refPopBucket(b int) (phys.Frame, bool) {
-	return sh.popBucket(b/sh.nLLC, b%sh.nLLC)
+	return sh.popBucket(sh.bankLo+b/sh.nLLC, b%sh.nLLC)
 }
 
 func (sh *shard) refPopMatch(c *Client, seq uint64) (phys.Frame, bool) {
@@ -28,7 +30,7 @@ func (sh *shard) refPopMatch(c *Client, seq uint64) (phys.Frame, bool) {
 			k := (start + i) % total
 			bc := banks[k/nl]
 			lc := c.llcColors[k%nl]
-			if f, ok := sh.refPopBucket(sh.localOf[bc]*sh.nLLC + lc); ok {
+			if f, ok := sh.refPopBucket((bc-sh.bankLo)*sh.nLLC + lc); ok {
 				return f, true
 			}
 		}
@@ -39,7 +41,7 @@ func (sh *shard) refPopMatch(c *Client, seq uint64) (phys.Frame, bool) {
 		}
 		start := int(seq % uint64(len(banks)))
 		for i := range banks {
-			li := sh.localOf[banks[(start+i)%len(banks)]]
+			li := banks[(start+i)%len(banks)] - sh.bankLo
 			ls := int(seq % uint64(sh.nLLC))
 			for j := 0; j < sh.nLLC; j++ {
 				if f, ok := sh.refPopBucket(li*sh.nLLC + (ls+j)%sh.nLLC); ok {
@@ -52,9 +54,9 @@ func (sh *shard) refPopMatch(c *Client, seq uint64) (phys.Frame, bool) {
 		ls := int(seq % uint64(nl))
 		for i := 0; i < nl; i++ {
 			lc := c.llcColors[(ls+i)%nl]
-			bs := int(seq % uint64(len(sh.banks)))
-			for j := range sh.banks {
-				li := (bs + j) % len(sh.banks)
+			bs := int(seq % uint64(sh.nBanks))
+			for j := range sh.nBanks {
+				li := (bs + j) % sh.nBanks
 				if f, ok := sh.refPopBucket(li*sh.nLLC + lc); ok {
 					return f, true
 				}
@@ -65,8 +67,21 @@ func (sh *shard) refPopMatch(c *Client, seq uint64) (phys.Frame, bool) {
 }
 
 func (sh *shard) refPopUnassigned(c *Client, s *Server) (phys.Frame, bool) {
-	for li, bc := range sh.banks {
-		if s.assignedBank[bc].Load() != 0 {
+	if !c.usingBank {
+		for lc := 0; lc < sh.nLLC; lc++ {
+			if s.assignedLLC[lc].Load() != 0 {
+				continue
+			}
+			for li := range sh.nBanks {
+				if f, ok := sh.refPopBucket(li*sh.nLLC + lc); ok {
+					return f, true
+				}
+			}
+		}
+		return 0, false
+	}
+	for li := range sh.nBanks {
+		if s.assignedBank[sh.bankLo+li].Load() != 0 {
 			continue
 		}
 		for _, lc := range c.llcColors {
@@ -74,17 +89,12 @@ func (sh *shard) refPopUnassigned(c *Client, s *Server) (phys.Frame, bool) {
 				return f, true
 			}
 		}
-		for lc := 0; lc < sh.nLLC; lc++ {
-			if f, ok := sh.refPopBucket(li*sh.nLLC + lc); ok {
-				return f, true
-			}
-		}
 	}
-	for lc := 0; lc < sh.nLLC; lc++ {
-		if s.assignedLLC[lc].Load() != 0 {
+	for li := range sh.nBanks {
+		if s.assignedBank[sh.bankLo+li].Load() != 0 {
 			continue
 		}
-		for li := range sh.banks {
+		for lc := 0; lc < sh.nLLC; lc++ {
 			if f, ok := sh.refPopBucket(li*sh.nLLC + lc); ok {
 				return f, true
 			}
@@ -94,7 +104,7 @@ func (sh *shard) refPopUnassigned(c *Client, s *Server) (phys.Frame, bool) {
 }
 
 func (sh *shard) refPopAnyParked() (phys.Frame, bool) {
-	for b := 0; b < len(sh.banks)*sh.nLLC; b++ {
+	for b := 0; b < sh.nBanks*sh.nLLC; b++ {
 		if f, ok := sh.refPopBucket(b); ok {
 			return f, true
 		}

@@ -13,8 +13,8 @@
 //     plus its node's buddy zone. Two shards never contend for a
 //     frame, a color list, or a free list.
 //   - Color lists are lock-striped: the (bank, LLC) buckets of a shard
-//     are guarded by a small array of stripe mutexes, so concurrent
-//     clients popping different colors do not serialize.
+//     are guarded by 16 stripe mutexes, so concurrent clients popping
+//     different colors do not serialize.
 //   - A miss refills in the caller: a client that misses its color
 //     lists runs create_color_list (paper Algorithm 2) itself, under
 //     its shard's zone lock, shattering blocks onto the lists until one
@@ -25,16 +25,20 @@
 //     misses on a shard, a miss fails at once with ErrBusy instead of
 //     queueing on the zone lock — callers retry or shed load.
 //   - Exhaustion composes with the kernel's degradation ladder: a
-//     drained shard borrows (a home-shard page of an unclaimed bank,
-//     then LLC, color; a home-shard zone frame; a home-shard parked
-//     page of any color, another client's claim included; then the
-//     other shards, zone frame before parked page), records every
-//     below-preferred frame as a loan under the kernel's rung names,
-//     and reports ErrNoMemory only when no free frame exists on any
-//     shard. The order differs from the sequential kernel's, which
-//     borrows on the task's coloring axis only and spends a same-node
-//     page of another task's color last, after every remote node
-//     (DESIGN.md Sec. 11.4).
+//     drained shard borrows (a home-shard page of a color no client
+//     claims on the client's coloring axis; a home-shard zone frame;
+//     a home-shard parked page of any color, another client's claim
+//     included; then the other shards, zone frame before parked page),
+//     records every below-preferred frame as a loan under the kernel's
+//     rung names, and reports ErrNoMemory only when no free frame
+//     exists on any shard. The borrow-color rung is the kernel's; the
+//     rungs after it run in a different order, for the sequential
+//     kernel spends a same-node page of another task's color last,
+//     after every remote node (DESIGN.md Sec. 11.4).
+//   - The colored pops, the borrow-color rung included, are the
+//     kernel's own walks: each shard embeds a kernel.Rows over its
+//     buckets, whose finders name the bucket to pop; the shard pops it
+//     under its stripe and finds again if a racing pop emptied it.
 //   - A loan is the rung mark on its frame plus the frame's owner; a
 //     gauge counts the marks. Nothing moves a loaned frame: it stays
 //     where the ladder put it until its holder frees it. The package
@@ -90,9 +94,6 @@ type Config struct {
 	// shard past which a miss fails with ErrBusy (default 192, at most
 	// math.MaxInt32).
 	HighWater int
-	// Stripes is the number of lock stripes over each shard's color
-	// buckets (default 16, at most a shard's bucket count).
-	Stripes int
 	// DisableBorrow turns off the cross-shard degradation ladder: a
 	// drained shard fails with ErrNoMemory even while other shards
 	// have free frames (the paper-faithful fail-hard mode).
@@ -100,9 +101,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Stripes <= 0 {
-		c.Stripes = 16
-	}
 	if c.HighWater <= 0 {
 		c.HighWater = 192
 	}
@@ -178,11 +176,7 @@ func New(topo *topology.Topology, mapping *phys.Mapping, cfg Config) (*Server, e
 		if err != nil {
 			return nil, err
 		}
-		sh, err := newShard(n, phys.Frame(uint64(n)*framesPerNode), zone, mapping, cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.shards = append(s.shards, sh)
+		s.shards = append(s.shards, newShard(n, phys.Frame(uint64(n)*framesPerNode), zone, mapping))
 	}
 	return s, nil
 }
@@ -298,15 +292,13 @@ func (c *Client) SetColors(bank, llc []int) error {
 		return err
 	}
 	c.bankColors, c.llcColors = bankColors, llcColors
-	c.llcMask = llcMask(s.shards[0].words, c.llcColors)
 	c.usingBank = len(c.bankColors) > 0
 	c.usingLLC = len(c.llcColors) > 0
+	c.llcMask = s.shards[0].Mask(c.llcColors)
 	c.banksOn = make([][]int, s.mapping.Nodes())
 	for _, bc := range c.bankColors {
 		n := s.mapping.NodeOfBankColor(bc)
 		c.banksOn[n] = append(c.banksOn[n], bc)
-	}
-	for _, bc := range c.bankColors {
 		s.assignedBank[bc].Add(1)
 	}
 	for _, lc := range c.llcColors {
@@ -424,12 +416,13 @@ func (c *Client) Realloc(old phys.Frame) (phys.Frame, error) {
 func (s *Server) allocColored(c *Client) (phys.Frame, error) {
 	seq := c.cursor.Add(1) - 1
 	sh := s.routeShard(c, seq)
+	parks := sh.parks.Load()
 	if f, ok := sh.popMatch(c, seq); ok {
 		s.finishAlloc(c, f, kernel.RungNone)
 		s.stats.coloredAllocs.Add(1)
 		return f, nil
 	}
-	f, rung, err := sh.serveMiss(c, seq, s)
+	f, rung, err := sh.serveMiss(c, seq, parks, s)
 	if err != nil {
 		return 0, err
 	}
@@ -497,11 +490,12 @@ func (s *Server) finishAlloc(c *Client, f phys.Frame, rung kernel.Rung) {
 }
 
 // borrow walks the degradation ladder for a colored client whose home
-// shard came up empty: a home-shard page of an unclaimed color
-// (RungBorrowColor), a home-shard zone frame, then a home-shard parked
-// page of any color (both RungLocalUncolored), then the other shards
-// in node order, zone frame before parked page (RungRemote). The
-// sequential kernel's order differs (DESIGN.md Sec. 11.4). Callers
+// shard came up empty: a home-shard page of a color no client claims
+// on the client's coloring axis (RungBorrowColor, the kernel's rule),
+// a home-shard zone frame, then a home-shard parked page of any color
+// (both RungLocalUncolored), then the other shards in node order, zone
+// frame before parked page (RungRemote). The sequential kernel's order
+// of the later rungs differs (DESIGN.md Sec. 11.4). Callers
 // must not hold any shard's zone lock (the ladder takes them one at a
 // time).
 func (s *Server) borrow(c *Client, home *shard) (phys.Frame, kernel.Rung, bool) {

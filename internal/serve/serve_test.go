@@ -49,33 +49,11 @@ func coloredClient(t *testing.T, s *Server, m *phys.Mapping, top *topology.Topol
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.HighWater != 192 || c.Stripes != 16 {
-		t.Errorf("defaults = %+v, want HighWater 192, Stripes 16", c)
+	if c := (Config{}).withDefaults(); c.HighWater != 192 {
+		t.Errorf("defaults = %+v, want HighWater 192", c)
 	}
-	c = Config{HighWater: 7, Stripes: 3}.withDefaults()
-	if c.HighWater != 7 || c.Stripes != 3 {
+	if c := (Config{HighWater: 7}).withDefaults(); c.HighWater != 7 {
 		t.Errorf("explicit values changed: %+v", c)
-	}
-}
-
-// New rejects a stripe count past a shard's bucket count before it
-// allocates the stripe mutexes: extra stripes would guard nothing,
-// and a huge count would only exhaust memory.
-func TestNewRejectsStripesPastBuckets(t *testing.T) {
-	top := topology.Opteron6128()
-	m, err := phys.DefaultSeparable(testMem, top.Nodes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	buckets := len(m.BankColorsOfNode(0)) * m.NumLLCColors()
-	s, err := New(top, m, Config{Stripes: buckets})
-	if err != nil {
-		t.Fatalf("Stripes at the bucket count %d: %v", buckets, err)
-	}
-	s.Close()
-	if _, err := New(top, m, Config{Stripes: buckets + 1}); err == nil {
-		t.Fatalf("Stripes %d past the bucket count %d accepted", buckets+1, buckets)
 	}
 }
 
@@ -329,6 +307,50 @@ func TestSetColorsValidation(t *testing.T) {
 }
 
 func nonZero(n int) bool { return n != 0 }
+
+// A miss re-tries the color lists under the zone lock only when a
+// frame was parked after its fast path read the park count: with node
+// 0 drained, a frame freed between the fast path and serveMiss is
+// served at preferred placement, and with nothing parked since, the
+// miss goes straight to the dry zone.
+func TestServeMissRetriesAfterPark(t *testing.T) {
+	s, m, top := testServer(t, Config{DisableBorrow: true})
+	c, err := s.NewClient(top.CoresOfNode(0)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetColors(m.BankColorsOfNode(0), allLLC(m)); err != nil {
+		t.Fatal(err)
+	}
+	var held []phys.Frame
+	for {
+		f, err := c.Alloc()
+		if errors.Is(err, ErrNoMemory) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, f)
+	}
+	sh := s.shards[0]
+	seq := c.cursor.Load()
+	parks := sh.parks.Load()
+	if _, ok := sh.popMatch(c, seq); ok {
+		t.Fatal("a drained shard's fast path found a frame")
+	}
+	if err := c.Free(held[0]); err != nil {
+		t.Fatal(err)
+	}
+	f, rung, err := sh.serveMiss(c, seq, parks, s)
+	if err != nil || f != held[0] || rung != kernel.RungNone {
+		t.Fatalf("miss after a park = (%d, %v, %v), want the parked frame %d", f, rung, err, held[0])
+	}
+	s.finishAlloc(c, f, rung)
+	if _, _, err := sh.serveMiss(c, seq, sh.parks.Load(), s); !errors.Is(err, ErrNoMemory) {
+		t.Fatalf("miss with nothing parked: %v, want ErrNoMemory", err)
+	}
+}
 
 // DisableBorrow is the paper-faithful fail-hard mode: once the home
 // shard runs out of claim-matching pages the client gets ErrNoMemory,

@@ -79,8 +79,8 @@ func TestZeroAllocColoredFastPath(t *testing.T) {
 }
 
 // TestZeroAllocInlineMiss gates the miss path: the high-water check,
-// the zone-locked retry of the color lists, the failed shatter and
-// the ErrNoMemory return must not allocate. Node 0 is drained
+// the zone-locked park-count check, the failed shatter and the
+// ErrNoMemory return must not allocate. Node 0 is drained
 // completely under DisableBorrow so the first Alloc of every iteration
 // is a guaranteed popMatch miss that runs serveMiss end to end (and
 // comes back ErrNoMemory — the zone is dry and borrowing is off); the
@@ -121,8 +121,8 @@ func TestZeroAllocInlineMiss(t *testing.T) {
 	mustZeroAllocs(t, "inline miss on a drained shard", func() {
 		iters++
 		// Guaranteed miss: nothing matching is parked and the zone is
-		// dry, so serveMiss retries the lists, fails shatterLocked, and
-		// returns ErrNoMemory.
+		// dry, so serveMiss skips the retry (nothing was parked since
+		// the fast path), fails shatterLocked, and returns ErrNoMemory.
 		if _, err := c.Alloc(); !errors.Is(err, ErrNoMemory) {
 			t.Fatalf("want ErrNoMemory from drained shard, got %v", err)
 		}

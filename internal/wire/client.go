@@ -17,14 +17,12 @@ import (
 // serializes the synchronous request/response exchange, mirroring the
 // one-op-at-a-time discipline serve.Client has per goroutine.
 type Client struct {
-	mu    sync.Mutex
-	conn  net.Conn //tintvet:guardedby mu
-	br    *bufio.Reader
-	bw    *bufio.Writer
-	rbuf  []byte // frame read buffer, reused across exchanges
-	wbuf  []byte // payload build buffer, reused across exchanges
-	id    uint32 // session id from HelloAck
-	hello bool
+	mu   sync.Mutex
+	conn net.Conn //tintvet:guardedby mu
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	rbuf []byte // frame read buffer, reused across exchanges
+	wbuf []byte // payload build buffer, reused across exchanges
 }
 
 // Dial connects to a daemon ("unix", path or "tcp", addr) without
@@ -83,20 +81,8 @@ func (c *Client) Hello(core topology.CoreID, bank, llc []int) error {
 	if err != nil {
 		return err
 	}
-	id, err := parseU32(rp, "hello_ack")
-	if err != nil {
-		return err
-	}
-	c.id = id
-	c.hello = true
-	return nil
-}
-
-// SessionID reports the daemon-assigned session id (valid after Hello).
-func (c *Client) SessionID() uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.id
+	_, err = parseU32(rp, "hello_ack")
+	return err
 }
 
 // Alloc requests one frame under the session's color claim.

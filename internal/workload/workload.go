@@ -41,9 +41,6 @@ type Params struct {
 	Scale float64
 }
 
-// DefaultParams returns evaluation-size parameters.
-func DefaultParams() Params { return Params{Seed: 1, Scale: 1.0} }
-
 func (p Params) scaled(n uint64) uint64 {
 	if p.Scale <= 0 {
 		return n
