@@ -23,7 +23,7 @@
 // detail-lbm (internal/suite) through suite.Run; -config/-workload and
 // -configs/-workloads, when given, replace the entry's configs and
 // workloads. -suite runs any registry entry by name, and -suites
-// merges a user TOML/JSON file over the embedded defaults for -suite
+// merges a user TOML file over the embedded defaults for -suite
 // runs only. Explicit -scale/-repeats/-seed flags override a -suite
 // entry's values; under -exp, an entry's own values win (perthread-lbm
 // pins one repeat).
@@ -32,6 +32,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -59,7 +60,7 @@ func main() {
 		wlFilter   = flag.String("workloads", "", "comma-separated workloads for fig11/fig12/chaos (default: all six)")
 		cfgFilter  = flag.String("configs", "", "comma-separated configs for fig11/fig12 (default: all five)")
 		overlapped = flag.Bool("overlapped", false, "use the paper-faithful overlapped Opteron bit mapping")
-		format     = flag.String("format", "table", "output format: table|csv|chart|json")
+		format     = flag.String("format", "table", "output format: "+strings.Join(formats, "|"))
 		parallel   = flag.Int("parallel", runtime.NumCPU(), "concurrent cells per experiment (identical results, faster wall clock)")
 		sweepParam = flag.String("sweep", "hop-cycles", "parameter for -exp sweep: hop-cycles|row-penalty|llc-ways")
 		sweepVals  = flag.String("sweep-values", "0,10,25,50,100", "comma-separated values for -exp sweep")
@@ -68,7 +69,7 @@ func main() {
 		benchOut   = flag.String("out", "BENCH_engine.json", "output file for -exp bench")
 		benchPar   = flag.String("bench-parallel", "1,8", "comma-separated -parallel values the bench harness compares")
 		benchSamp  = flag.Int("bench-samples", 3, "wall-clock re-timings per cell for -exp bench/serve (raw samples land in the report)")
-		suitesFile = flag.String("suites", "", "suite registry file (TOML or JSON), merged over the embedded defaults")
+		suitesFile = flag.String("suites", "", "suite registry file (TOML), merged over the embedded defaults")
 		suiteName  = flag.String("suite", "", "run a registry suite by name instead of -exp (\"list\" shows the registry)")
 		serveOut   = flag.String("serve-out", "BENCH_serve.json", "output file for -exp serve")
 		serveOps   = flag.Int("serve-ops", 20000, "churn operations per client for -exp serve")
@@ -108,9 +109,6 @@ func main() {
 
 	memBytes := uint64(*memGiB * (1 << 30))
 	params := workload.Params{Seed: *seed, Scale: *scale}
-	csvOut := *format == "csv"
-	chartOut := *format == "chart"
-	jsonOut := *format == "json"
 
 	if *exp == "bench" {
 		if err := runBenchHarness(os.Stdout, *benchOut, *benchPar, memBytes, params, *repeats, *benchSamp); err != nil {
@@ -165,16 +163,8 @@ func main() {
 			s.Repeats = *repeats
 		}
 		r, err := suite.Run(mach, s, params, *repeats, *parallel)
-		if err != nil {
-			fatal(err)
-		}
-		switch {
-		case csvOut:
-			err = r.WriteCSV(os.Stdout)
-		case jsonOut:
-			err = r.WriteJSON(os.Stdout)
-		default:
-			r.WriteTable(os.Stdout)
+		if err == nil {
+			err = write(os.Stdout, r, *format)
 		}
 		if err != nil {
 			fatal(err)
@@ -215,218 +205,148 @@ func main() {
 	if given["config"] {
 		oneConfig = []string{*cfgName}
 	}
-
-	run := func(name string, f func() error) {
-		if *exp != name && !(*exp == "all" && name != "detail" && name != "sweep" && name != "chaos") {
-			return
+	// fig11 and fig12 share the same runs; under -exp all one run
+	// renders both.
+	paper := func(runtime, idle bool) func() (result, error) {
+		return func() (result, error) {
+			cells, err := figure("paper", splitList(*wlFilter), splitList(*cfgFilter))
+			if err != nil {
+				return nil, err
+			}
+			return suiteFigs{bench.NewSuiteResult(cells), runtime, idle}, nil
 		}
-		if err := f(); err != nil {
-			fatal(fmt.Errorf("%s: %w", name, err))
-		}
-		fmt.Println()
 	}
 
-	run("latency", func() error {
-		r, err := bench.RunLatency(mach, 0, 512, *parallel)
-		if err != nil {
-			return err
-		}
-		switch {
-		case csvOut:
-			return r.WriteCSV(os.Stdout)
-		case jsonOut:
-			return r.WriteJSON(os.Stdout)
-		}
-		r.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("detail", func() error {
-		cells, err := figure("detail-lbm", oneWorkload, oneConfig)
-		if err != nil {
-			return err
-		}
-		r := bench.NewDetailResult(cells)
-		switch {
-		case csvOut:
-			return r.WriteCSV(os.Stdout)
-		case jsonOut:
-			return r.WriteJSON(os.Stdout)
-		}
-		r.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("sweep", func() error {
-		wl, err := workload.ByName(*wlName)
-		if err != nil {
-			return err
-		}
-		vals, err := parseFloats(*sweepVals)
-		if err != nil {
-			return err
-		}
-		r, err := bench.RunSweep(bench.SweepParam(*sweepParam), vals, wl, *cfgName,
-			params, *repeats, memBytes, *parallel)
-		if err != nil {
-			return err
-		}
-		switch {
-		case csvOut:
-			return r.WriteCSV(os.Stdout)
-		case jsonOut:
-			return r.WriteJSON(os.Stdout)
-		case chartOut:
-			r.WriteChart(os.Stdout)
-			return nil
-		}
-		r.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("chaos", func() error {
-		loads, err := selectWorkloads(*wlFilter)
-		if err != nil {
-			return err
-		}
-		cfg, err := bench.ConfigByName(mach.Topo, *cfgName)
-		if err != nil {
-			return err
-		}
-		plans, err := selectPlans(*planNames)
-		if err != nil {
-			return err
-		}
-		r, err := bench.RunChaos(mach, cfg, *chaosPol, loads, plans, params, *parallel)
-		if err != nil {
-			return err
-		}
-		switch {
-		case csvOut:
-			return r.WriteCSV(os.Stdout)
-		case jsonOut:
-			return r.WriteJSON(os.Stdout)
-		}
-		r.WriteTable(os.Stdout)
-		return nil
-	})
-
-	// The adaptive engine showcase (DESIGN.md Sec. 15) runs on its own
-	// dedicated machine — small, single-node, aged — rather than the
-	// shared -mem one: the experiment's point is capacity pressure, and
-	// RunAdaptiveMatrix runs at scale 1 whatever -scale says, since
-	// heteromix scales two of its sizes and a smaller mix never makes
-	// the classifier switch. Every cell runs twice (byte-identical or
-	// the run fails), the clean adaptive cell is rerun under the
-	// migrate-flaky fault plan, and Check() enforces the acceptance
-	// criteria: adaptive beats every static policy on runtime with
-	// fewer degraded allocations than static MEM.
-	run("adaptive", func() error {
-		amach, err := bench.NewAdaptiveMachine()
-		if err != nil {
-			return err
-		}
-		plan, err := fault.PlanByName("migrate-flaky")
-		if err != nil {
-			return err
-		}
-		r, err := bench.RunAdaptiveMatrix(amach, params, &plan)
-		if err != nil {
-			return err
-		}
-		if err := r.Check(); err != nil {
-			return err
-		}
-		switch {
-		case csvOut:
-			return r.WriteCSV(os.Stdout)
-		case jsonOut:
-			return r.WriteJSON(os.Stdout)
-		}
-		r.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("fig10", func() error {
-		cells, err := figure("fig10", nil, oneConfig)
-		if err != nil {
-			return err
-		}
-		r := bench.NewFig10Result(cells)
-		switch {
-		case csvOut:
-			return r.WriteCSV(os.Stdout)
-		case jsonOut:
-			return r.WriteJSON(os.Stdout)
-		case chartOut:
-			r.WriteChart(os.Stdout)
-			return nil
-		}
-		r.WriteTable(os.Stdout)
-		return nil
-	})
-
-	// fig11 and fig12 share the same runs; under -exp all compute once.
-	paper := func(runtime, idle bool) error {
-		cells, err := figure("paper", splitList(*wlFilter), splitList(*cfgFilter))
-		if err != nil {
-			return err
-		}
-		r := bench.NewSuiteResult(cells)
-		if csvOut {
-			return r.WriteCSV(os.Stdout)
-		}
-		if jsonOut {
-			return r.WriteJSON(os.Stdout)
-		}
-		if runtime {
-			if chartOut {
-				r.WriteRuntimeChart(os.Stdout)
-			} else {
-				r.WriteRuntimeTable(os.Stdout)
+	// Every experiment, in the order -exp all prints them, with the
+	// -exp values that run it.
+	exps := []struct {
+		name string
+		on   []string
+		run  func() (result, error)
+	}{
+		{"latency", []string{"latency", "all"}, func() (result, error) {
+			return bench.RunLatency(mach, 0, 512, *parallel)
+		}},
+		{"detail", []string{"detail"}, func() (result, error) {
+			cells, err := figure("detail-lbm", oneWorkload, oneConfig)
+			if err != nil {
+				return nil, err
 			}
+			return bench.NewDetailResult(cells), nil
+		}},
+		{"sweep", []string{"sweep"}, func() (result, error) {
+			wl, err := workload.ByName(*wlName)
+			if err != nil {
+				return nil, err
+			}
+			vals, err := parseFloats(*sweepVals)
+			if err != nil {
+				return nil, err
+			}
+			return bench.RunSweep(bench.SweepParam(*sweepParam), vals, wl, *cfgName,
+				params, *repeats, memBytes, *parallel)
+		}},
+		{"chaos", []string{"chaos"}, func() (result, error) {
+			loads, err := selectWorkloads(*wlFilter)
+			if err != nil {
+				return nil, err
+			}
+			cfg, err := bench.ConfigByName(mach.Topo, *cfgName)
+			if err != nil {
+				return nil, err
+			}
+			plans, err := selectPlans(*planNames)
+			if err != nil {
+				return nil, err
+			}
+			return bench.RunChaos(mach, cfg, *chaosPol, loads, plans, params, *parallel)
+		}},
+		// The adaptive engine showcase (DESIGN.md Sec. 15) runs on its
+		// own machine at scale 1, whatever -mem and -scale say.
+		{"adaptive", []string{"adaptive", "all"}, func() (result, error) {
+			return bench.RunAdaptiveExperiment(params)
+		}},
+		{"fig10", []string{"fig10", "all"}, func() (result, error) {
+			cells, err := figure("fig10", nil, oneConfig)
+			if err != nil {
+				return nil, err
+			}
+			return bench.NewFig10Result(cells), nil
+		}},
+		{"fig11", []string{"fig11"}, paper(true, false)},
+		{"fig12", []string{"fig12"}, paper(false, true)},
+		{"fig11+12", []string{"all"}, paper(true, true)},
+		{"fig13+14", []string{"fig13", "fig14", "all"}, func() (result, error) {
+			cells, err := figure("perthread-lbm", oneWorkload, oneConfig)
+			if err != nil {
+				return nil, err
+			}
+			return bench.NewPerThreadResult(cells), nil
+		}},
+	}
+	for _, e := range exps {
+		if !slices.Contains(e.on, *exp) {
+			continue
 		}
-		if runtime && idle {
+		r, err := e.run()
+		if err == nil {
+			err = write(os.Stdout, r, *format)
+		}
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", e.name, err))
+		}
+		// A blank line ends each experiment's output but the per-thread
+		// figures', which close the run.
+		if e.name != "fig13+14" {
 			fmt.Println()
 		}
-		if idle {
-			if chartOut {
-				r.WriteIdleChart(os.Stdout)
-			} else {
-				r.WriteIdleTable(os.Stdout)
-			}
-		}
-		return nil
 	}
-	if *exp == "all" {
-		if err := paper(true, true); err != nil {
-			fatal(err)
-		}
-		fmt.Println()
-	} else {
-		run("fig11", func() error { return paper(true, false) })
-		run("fig12", func() error { return paper(false, true) })
-	}
+}
 
-	perThread := func() error {
-		cells, err := figure("perthread-lbm", oneWorkload, oneConfig)
-		if err != nil {
-			return err
+// result is what every experiment and registry suite hands write.
+type result interface {
+	WriteTable(io.Writer)
+	WriteCSV(io.Writer) error
+	WriteJSON(io.Writer) error
+}
+
+// write renders r in format f; under chart, a result without a
+// WriteChart renders its table.
+func write(w io.Writer, r result, f string) error {
+	switch f {
+	case "csv":
+		return r.WriteCSV(w)
+	case "json":
+		return r.WriteJSON(w)
+	case "chart":
+		if c, ok := r.(interface{ WriteChart(io.Writer) }); ok {
+			c.WriteChart(w)
+			return nil
 		}
-		r := bench.NewPerThreadResult(cells)
-		switch {
-		case csvOut:
-			return r.WriteCSV(os.Stdout)
-		case jsonOut:
-			return r.WriteJSON(os.Stdout)
-		}
-		r.WriteTables(os.Stdout)
-		return nil
 	}
-	if *exp == "fig13" || *exp == "fig14" || *exp == "all" {
-		if err := perThread(); err != nil {
-			fatal(err)
-		}
+	r.WriteTable(w)
+	return nil
+}
+
+// suiteFigs renders the suite matrix as Fig. 11 (runtime), Fig. 12
+// (idle) or both, a blank line apart; its CSV and JSON carry both.
+type suiteFigs struct {
+	*bench.SuiteResult
+	runtime, idle bool
+}
+
+func (s suiteFigs) WriteTable(w io.Writer) { s.render(w, s.WriteRuntimeTable, s.WriteIdleTable) }
+func (s suiteFigs) WriteChart(w io.Writer) { s.render(w, s.WriteRuntimeChart, s.WriteIdleChart) }
+
+func (s suiteFigs) render(w io.Writer, runtime, idle func(io.Writer)) {
+	if s.runtime {
+		runtime(w)
+	}
+	if s.runtime && s.idle {
+		fmt.Fprintln(w)
+	}
+	if s.idle {
+		idle(w)
 	}
 }
 
@@ -436,15 +356,16 @@ var experiments = []string{
 	"sweep", "chaos", "adaptive", "bench", "serve", "all",
 }
 
+// formats lists every -format value write renders.
+var formats = []string{"table", "csv", "chart", "json"}
+
 // checkFlags rejects flag values and combinations main does not run,
 // before any experiment starts.
 func checkFlags(exp, format, suiteName string, scale, memGiB float64, repeats int) error {
 	if !slices.Contains(experiments, exp) {
 		return fmt.Errorf("unknown experiment %q (want %s)", exp, strings.Join(experiments, "|"))
 	}
-	switch format {
-	case "table", "csv", "chart", "json":
-	default:
+	if !slices.Contains(formats, format) {
 		return fmt.Errorf("unknown format %q", format)
 	}
 	if !(scale > 0) || math.IsInf(scale, 0) {

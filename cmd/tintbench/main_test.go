@@ -1,8 +1,13 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"math"
+	"strings"
 	"testing"
+
+	"github.com/tintmalloc/tintmalloc/internal/bench"
 )
 
 // TestCheckFlags pins the usage-error surface: a flag value or
@@ -65,3 +70,55 @@ func TestCheckFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestWrite pins the one writer: each format picks its render, a
+// result without a chart renders its table under -format chart, and
+// the suite matrix renders Fig. 11, Fig. 12 or both, a blank line
+// apart.
+func TestWrite(t *testing.T) {
+	empty := &bench.SuiteResult{}
+	var fig11, fig12 strings.Builder
+	empty.WriteRuntimeTable(&fig11)
+	empty.WriteIdleTable(&fig12)
+	for _, c := range []struct {
+		r            result
+		format, want string
+	}{
+		{fake{}, "table", "table"},
+		{fake{}, "csv", "csv"},
+		{fake{}, "json", "json"},
+		{fake{}, "chart", "table"},
+		{fakeChart{}, "chart", "chart"},
+		{fakeChart{}, "table", "table"},
+		{suiteFigs{empty, true, false}, "table", fig11.String()},
+		{suiteFigs{empty, false, true}, "table", fig12.String()},
+		{suiteFigs{empty, true, true}, "table", fig11.String() + "\n" + fig12.String()},
+	} {
+		var sb strings.Builder
+		if err := write(&sb, c.r, c.format); err != nil {
+			t.Fatal(err)
+		}
+		if sb.String() != c.want {
+			t.Errorf("write(%T, %s) = %q, want %q", c.r, c.format, sb.String(), c.want)
+		}
+	}
+}
+
+// fake names the render write called.
+type fake struct{}
+
+func (fake) WriteTable(w io.Writer) { fmt.Fprint(w, "table") }
+
+func (fake) WriteCSV(w io.Writer) error {
+	_, err := fmt.Fprint(w, "csv")
+	return err
+}
+
+func (fake) WriteJSON(w io.Writer) error {
+	_, err := fmt.Fprint(w, "json")
+	return err
+}
+
+type fakeChart struct{ fake }
+
+func (fakeChart) WriteChart(w io.Writer) { fmt.Fprint(w, "chart") }

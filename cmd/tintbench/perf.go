@@ -12,7 +12,6 @@ import (
 
 	"github.com/tintmalloc/tintmalloc/internal/bench"
 	"github.com/tintmalloc/tintmalloc/internal/benchfmt"
-	"github.com/tintmalloc/tintmalloc/internal/fault"
 	"github.com/tintmalloc/tintmalloc/internal/suite"
 	"github.com/tintmalloc/tintmalloc/internal/workload"
 )
@@ -79,25 +78,14 @@ func benchExperiments(memBytes uint64, params workload.Params, repeats int) ([]p
 	}
 	return append(exps, []perfExperiment{
 		{"adaptive", func(workers int) (int, uint64, error) {
-			// Sequential by design (the engine re-decides policies at
-			// phase barriers, so cells cannot fan out); workers is
-			// ignored and the counters stay identical across -parallel
-			// values. RunAdaptiveMatrix runs at scale 1 whatever -scale
-			// says, so -scale does not change the ops either, and the
-			// series stays exactly what the exact-ops gate compares.
-			amach, err := bench.NewAdaptiveMachine()
+			// The series runs what -exp adaptive runs. Its cells run in
+			// order, so workers is ignored and the counters stay
+			// identical across -parallel values; it runs at scale 1
+			// whatever -scale says, so -scale does not change the ops
+			// either, and the series stays exactly what the exact-ops
+			// gate compares.
+			r, err := bench.RunAdaptiveExperiment(params)
 			if err != nil {
-				return 0, 0, err
-			}
-			plan, err := fault.PlanByName("migrate-flaky")
-			if err != nil {
-				return 0, 0, err
-			}
-			r, err := bench.RunAdaptiveMatrix(amach, params, &plan)
-			if err != nil {
-				return 0, 0, err
-			}
-			if err := r.Check(); err != nil {
 				return 0, 0, err
 			}
 			var ops uint64

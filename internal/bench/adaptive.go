@@ -15,18 +15,20 @@ import (
 	"github.com/tintmalloc/tintmalloc/internal/mem"
 	"github.com/tintmalloc/tintmalloc/internal/phys"
 	"github.com/tintmalloc/tintmalloc/internal/policy"
+	"github.com/tintmalloc/tintmalloc/internal/stats"
 	"github.com/tintmalloc/tintmalloc/internal/topology"
 	"github.com/tintmalloc/tintmalloc/internal/workload"
 )
 
-// The adaptive policy engine harness (DESIGN.md Sec. 15): a
+// The audited cell runner behind the adaptive and chaos experiments,
+// and the adaptive policy engine harness (DESIGN.md Sec. 15): a
 // heterogeneous workload runs once per static policy and once under
 // the online engine — classifier decisions at every phase barrier,
 // Task.Repolicy switches debounced by hysteresis, and the budgeted
 // compaction daemon migrating loans and misplaced pages home. Every
-// cell runs with the invariant auditor (check 7 included) wired to
-// every barrier, twice, compared field-for-field — the same
-// determinism contract the chaos harness enforces.
+// cell of either experiment runs through RunAdaptive with the
+// invariant auditor (check 7 included) wired to every phase, twice,
+// compared field-for-field (runTwice).
 
 // Adaptive experiment sizing. The machine is deliberately small and
 // all threads share one node: per-thread color capacity is what the
@@ -44,7 +46,7 @@ const (
 	AdaptiveCompactBudget = 64
 )
 
-// AdaptiveOptions configures one adaptive cell.
+// AdaptiveOptions configures one audited cell.
 type AdaptiveOptions struct {
 	Workload workload.Workload
 	Config   Config
@@ -73,15 +75,22 @@ type Switch struct {
 	To     string
 }
 
-// AdaptiveRow is one cell of the adaptive matrix.
+// AdaptiveRow is one audited cell: a workload under a static policy
+// or the adaptive engine, clean or under a fault plan. It is a row of
+// both the adaptive and the chaos matrix.
 type AdaptiveRow struct {
-	Policy  string // static policy name, or "adaptive(<initial>)"
-	Plan    string // "clean" or the fault plan name
+	Workload string
+	Policy   string // static policy name, or "adaptive(<initial>)"
+	Plan     string // "clean" or the fault plan name
+	// OOM reports that the run died of machine-wide exhaustion under
+	// the plan (possible when a plan makes every zone of a request
+	// refuse at once); metrics other than Kern/Inj are then zero.
 	OOM     bool
 	Metrics RunMetrics
 	Kern    kernel.Stats
-	Loans   int
-	Audits  int
+	Inj     fault.Stats // the injector's counters (zero when clean)
+	Loans   int         // loans still outstanding at run end
+	Audits  int         // invariant audits passed (one per engine phase)
 	// Adaptive engine outcomes (zero for static rows).
 	Switches    []Switch
 	Repolicies  uint64
@@ -96,6 +105,12 @@ func (r *AdaptiveRow) DegradedTotal() uint64 {
 		t += n
 	}
 	return t
+}
+
+// DegradedRate returns ladder allocations as a fraction of all page
+// faults served.
+func (r *AdaptiveRow) DegradedRate() float64 {
+	return stats.Ratio(float64(r.DegradedTotal()), float64(r.Kern.Faults))
 }
 
 // adaptiveDriver is the per-run state of the online engine: one
@@ -206,13 +221,15 @@ func (d *adaptiveDriver) barrier(phase string) (clock.Dur, error) {
 	return cost, nil
 }
 
-// RunAdaptive executes one cell.
+// RunAdaptive executes one cell with the auditor attached and, when
+// opts.Plan is non-nil, the fault injector wired into the fresh
+// kernel.
 func RunAdaptive(mach *Machine, opts AdaptiveOptions) (AdaptiveRow, error) {
 	name := opts.Initial.String()
 	if opts.Adaptive {
 		name = fmt.Sprintf("adaptive(%s)", opts.Initial)
 	}
-	row := AdaptiveRow{Policy: name, Plan: "clean"}
+	row := AdaptiveRow{Workload: opts.Workload.Name, Policy: name, Plan: "clean"}
 	spec := RunSpec{
 		Workload: opts.Workload,
 		Config:   opts.Config,
@@ -220,6 +237,7 @@ func RunAdaptive(mach *Machine, opts AdaptiveOptions) (AdaptiveRow, error) {
 		Params:   opts.Params,
 	}
 	var (
+		inj     *fault.Injector
 		kk      *kernel.Kernel
 		wireErr error
 	)
@@ -227,7 +245,7 @@ func RunAdaptive(mach *Machine, opts AdaptiveOptions) (AdaptiveRow, error) {
 		kk = k
 		if opts.Plan != nil {
 			row.Plan = opts.Plan.Name
-			inj := fault.New(chaosSeed(spec.Params.Seed, opts.Plan.Name), *opts.Plan)
+			inj = fault.New(chaosSeed(spec.Params.Seed, opts.Plan.Name), *opts.Plan)
 			if werr := inj.Wire(k); werr != nil {
 				wireErr = werr
 				return
@@ -294,10 +312,15 @@ func RunAdaptive(mach *Machine, opts AdaptiveOptions) (AdaptiveRow, error) {
 		row.Loans = kk.Loans()
 		row.Repolicies = row.Kern.Repolicies
 	}
+	if inj != nil {
+		row.Inj = inj.Stats()
+	}
 	switch {
 	case err == nil:
 		row.Metrics = m
 	case opts.Plan != nil && errors.Is(err, kernel.ErrNoMemory):
+		// Under an injected plan, machine-wide OOM is a legitimate —
+		// and deterministic — outcome, not a harness failure.
 		row.OOM = true
 		row.Metrics = RunMetrics{}
 	default:
@@ -306,9 +329,10 @@ func RunAdaptive(mach *Machine, opts AdaptiveOptions) (AdaptiveRow, error) {
 	return row, nil
 }
 
-// runAdaptiveCellTwice enforces the determinism contract: the cell
-// executes twice on fresh machine state and must be byte-identical.
-func runAdaptiveCellTwice(mach *Machine, opts AdaptiveOptions) (AdaptiveRow, error) {
+// runTwice enforces the determinism contract the fault injector is
+// built around: the cell executes twice on fresh machine state, and a
+// run that is not byte-identical under a fixed seed fails.
+func runTwice(mach *Machine, opts AdaptiveOptions) (AdaptiveRow, error) {
 	first, err := RunAdaptive(mach, opts)
 	if err != nil {
 		return first, err
@@ -318,8 +342,8 @@ func runAdaptiveCellTwice(mach *Machine, opts AdaptiveOptions) (AdaptiveRow, err
 		return first, err
 	}
 	if !reflect.DeepEqual(first, again) {
-		return first, fmt.Errorf("bench: adaptive cell %s/%s is nondeterministic: %+v != %+v",
-			first.Policy, first.Plan, first, again)
+		return first, fmt.Errorf("bench: cell %s/%s/%s is nondeterministic: %+v != %+v",
+			first.Workload, first.Policy, first.Plan, first, again)
 	}
 	return first, nil
 }
@@ -381,7 +405,7 @@ func RunAdaptiveMatrix(mach *Machine, params workload.Params, plan *fault.Plan) 
 	wl := AdaptiveWorkload()
 	out := &AdaptiveResult{Config: cfg, Workload: wl.Name}
 	for _, p := range staticPolicies() {
-		row, err := runAdaptiveCellTwice(mach, AdaptiveOptions{
+		row, err := runTwice(mach, AdaptiveOptions{
 			Workload: wl, Config: cfg, Params: params, Initial: p,
 		})
 		if err != nil {
@@ -397,7 +421,7 @@ func RunAdaptiveMatrix(mach *Machine, params workload.Params, plan *fault.Plan) 
 		Initial: policy.MEMOnly, Adaptive: true,
 		CompactBudget: AdaptiveCompactBudget,
 	}
-	row, err := runAdaptiveCellTwice(mach, adaptive)
+	row, err := runTwice(mach, adaptive)
 	if err != nil {
 		return nil, err
 	}
@@ -405,13 +429,37 @@ func RunAdaptiveMatrix(mach *Machine, params workload.Params, plan *fault.Plan) 
 	if plan != nil {
 		chaos := adaptive
 		chaos.Plan = plan
-		row, err := runAdaptiveCellTwice(mach, chaos)
+		row, err := runTwice(mach, chaos)
 		if err != nil {
 			return nil, err
 		}
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
+}
+
+// RunAdaptiveExperiment is the adaptive experiment as tintbench runs
+// it, under -exp adaptive and as the -exp bench series: the matrix on
+// its dedicated machine, with the adaptive cell rerun under the
+// migrate-flaky fault plan, and Check. Only the seed of params
+// matters: RunAdaptiveMatrix runs at scale 1.
+func RunAdaptiveExperiment(params workload.Params) (*AdaptiveResult, error) {
+	mach, err := NewAdaptiveMachine()
+	if err != nil {
+		return nil, err
+	}
+	plan, err := fault.PlanByName("migrate-flaky")
+	if err != nil {
+		return nil, err
+	}
+	r, err := RunAdaptiveMatrix(mach, params, &plan)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.Check(); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // AdaptiveRowByPolicy finds a clean row by its policy label.

@@ -41,23 +41,13 @@ func TestAdaptiveMatrix(t *testing.T) {
 	}
 }
 
-// TestAdaptiveMatrixIgnoresScale runs the matrix the way the bench
-// harness does, migrate-flaky row included, at the scales the harness
-// and CI pass: every row must equal the scale-1 row and Check must
-// pass at each scale.
+// TestAdaptiveMatrixIgnoresScale runs the experiment the way
+// tintbench does, migrate-flaky row and Check included, at the scales
+// the harness and CI pass: every row must equal the scale-1 row.
 func TestAdaptiveMatrixIgnoresScale(t *testing.T) {
-	plan := migrateFlakyPlan(t)
 	run := func(scale float64) *AdaptiveResult {
-		mach, err := NewAdaptiveMachine()
+		res, err := RunAdaptiveExperiment(workload.Params{Seed: 1, Scale: scale})
 		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := RunAdaptiveMatrix(mach, workload.Params{Seed: 1, Scale: scale}, &plan)
-		if err != nil {
-			t.Fatalf("scale %g: %v", scale, err)
-		}
-		if err := res.Check(); err != nil {
-			res.WriteTable(testWriter{t})
 			t.Fatalf("scale %g: %v", scale, err)
 		}
 		return res
@@ -156,7 +146,7 @@ func TestAdaptiveChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := migrateFlakyPlan(t)
-	row, err := runAdaptiveCellTwice(mach, AdaptiveOptions{
+	row, err := runTwice(mach, AdaptiveOptions{
 		Workload: AdaptiveWorkload(), Config: cfg, Params: adaptiveParams(),
 		Initial: policy.MEMLLC, Adaptive: true,
 		CompactBudget: AdaptiveCompactBudget, Plan: &plan,

@@ -1,11 +1,12 @@
 package bench
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/tintmalloc/tintmalloc/internal/engine"
 	"github.com/tintmalloc/tintmalloc/internal/fault"
+	"github.com/tintmalloc/tintmalloc/internal/policy"
 	"github.com/tintmalloc/tintmalloc/internal/workload"
 )
 
@@ -58,6 +59,31 @@ func TestRunChaos(t *testing.T) {
 	}
 }
 
+// TestRunTwiceCatchesNondeterminism hands runTwice a cell whose
+// second run builds a larger working set than its first: the
+// determinism check behind both the chaos and the adaptive matrix
+// must fail it.
+func TestRunTwiceCatchesNondeterminism(t *testing.T) {
+	mach := testMachine(t)
+	cfg, err := ConfigByName(mach.Topo, "4_threads_4_nodes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := workload.Synthetic()
+	build, runs := wl.Build, 0
+	wl.Build = func(threads []engine.Thread, p workload.Params) ([]engine.Phase, error) {
+		runs++
+		p.Scale *= float64(runs)
+		return build(threads, p)
+	}
+	_, err = runTwice(mach, AdaptiveOptions{
+		Workload: wl, Config: cfg, Params: workload.Params{Seed: 1, Scale: 0.02}, Initial: policy.MEMLLC,
+	})
+	if err == nil || !strings.Contains(err.Error(), "nondeterministic") {
+		t.Fatalf("runTwice = %v, want a nondeterminism error", err)
+	}
+}
+
 func mustPlan(t *testing.T, name string) fault.Plan {
 	t.Helper()
 	p, err := fault.PlanByName(name)
@@ -96,26 +122,15 @@ func FuzzFaultPlan(f *testing.F) {
 		if frac := float64(sfrac%100) / 100; frac > 0 {
 			plan.Squeezes = []fault.Squeeze{{Node: int(snode) % mach.Topo.Nodes(), Frac: frac}}
 		}
-		pol, err := policyByName("MEM+LLC")
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := RunSpec{
+		_, err := runTwice(mach, AdaptiveOptions{
 			Workload: workload.Synthetic(),
 			Config:   cfg,
-			Policy:   pol,
 			Params:   workload.Params{Seed: seed, Scale: 0.02},
-		}
-		first, err := runChaosCell(mach, spec, &plan)
+			Initial:  policy.MEMLLC,
+			Plan:     &plan,
+		})
 		if err != nil {
 			t.Fatalf("plan %+v: %v", plan, err)
-		}
-		again, err := runChaosCell(mach, spec, &plan)
-		if err != nil {
-			t.Fatalf("plan %+v (second run): %v", plan, err)
-		}
-		if !reflect.DeepEqual(first, again) {
-			t.Fatalf("nondeterministic under plan %+v:\n%+v\n%+v", plan, first, again)
 		}
 	})
 }

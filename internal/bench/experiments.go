@@ -201,8 +201,8 @@ func MaxOf(v []clock.Dur) clock.Dur {
 	return m
 }
 
-// WriteTables prints Figs. 13 and 14 as per-thread listings.
-func (r *PerThreadResult) WriteTables(w io.Writer) {
+// WriteTable prints Figs. 13 and 14 as per-thread listings.
+func (r *PerThreadResult) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "Fig. 13 — per-thread runtime, %s (%s)\n", r.Workload, r.Config.Name)
 	r.writeVec(w, r.Runtime)
 	fmt.Fprintf(w, "Fig. 14 — per-thread idle time, %s (%s)\n", r.Workload, r.Config.Name)

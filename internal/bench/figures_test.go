@@ -121,9 +121,9 @@ func TestPerThreadResultShape(t *testing.T) {
 		t.Fatalf("per-thread matrix shape wrong: %dx%d", len(r.Runtime), len(r.Runtime[0]))
 	}
 	var sb strings.Builder
-	r.WriteTables(&sb)
+	r.WriteTable(&sb)
 	if !strings.Contains(sb.String(), "Fig. 14") {
-		t.Error("WriteTables missing Fig. 14")
+		t.Error("WriteTable missing Fig. 14")
 	}
 }
 

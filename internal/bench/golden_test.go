@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"github.com/tintmalloc/tintmalloc/internal/bench"
 	"github.com/tintmalloc/tintmalloc/internal/engine"
+	"github.com/tintmalloc/tintmalloc/internal/fault"
 	"github.com/tintmalloc/tintmalloc/internal/kernel"
 	"github.com/tintmalloc/tintmalloc/internal/policy"
 	"github.com/tintmalloc/tintmalloc/internal/suite"
@@ -58,32 +60,12 @@ func TestGoldenLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	r.WriteTable(&sb)
-	sb.WriteString("\n")
-	if err := r.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	sb.WriteString("\n")
-	if err := r.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "latency.golden", sb.String())
+	checkGolden(t, "latency.golden", renderAll(t, r))
 }
 
 func TestGoldenFig10(t *testing.T) {
 	r := bench.NewFig10Result(runEntry(t, synthEntry(t, "fig10"), smallParams, 1, 2))
-	var sb strings.Builder
-	r.WriteTable(&sb)
-	sb.WriteString("\n")
-	if err := r.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	sb.WriteString("\n")
-	if err := r.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "fig10.golden", sb.String())
+	checkGolden(t, "fig10.golden", renderAll(t, r))
 }
 
 func TestGoldenSuite(t *testing.T) {
@@ -106,7 +88,7 @@ func TestGoldenPerThread(t *testing.T) {
 	s.Policies = []string{"buddy", "MEM+LLC"}
 	r := bench.NewPerThreadResult(runEntry(t, s, smallParams, 3, 2))
 	var sb strings.Builder
-	r.WriteTables(&sb)
+	r.WriteTable(&sb)
 	sb.WriteString("\n")
 	if err := r.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
@@ -194,6 +176,62 @@ func TestGoldenChurn(t *testing.T) {
 	checkGolden(t, "churn.golden", sb.String())
 }
 
+// TestGoldenChaos pins the chaos matrix's three renders: the
+// synthetic workload clean and under two fault plans.
+func TestGoldenChaos(t *testing.T) {
+	mach := newMachine(t)
+	cfg, err := bench.ConfigByName(mach.Topo, "4_threads_4_nodes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plans []fault.Plan
+	for _, name := range []string{"refill-starve", "pressure-storm"} {
+		p, err := fault.PlanByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, p)
+	}
+	r, err := bench.RunChaos(mach, cfg, "MEM+LLC", []workload.Workload{workload.Synthetic()},
+		plans, workload.Params{Seed: 3, Scale: 0.05}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "chaos.golden", renderAll(t, r))
+}
+
+// TestGoldenAdaptive pins the adaptive matrix's three renders as
+// tintbench -exp adaptive runs it: every static policy, the engine,
+// and the engine under the migrate-flaky plan.
+func TestGoldenAdaptive(t *testing.T) {
+	r, err := bench.RunAdaptiveExperiment(workload.Params{Seed: 1, Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "adaptive.golden", renderAll(t, r))
+}
+
+// renderAll renders a result as table, CSV and JSON, one blank line
+// apart, as the golden fixtures hold them.
+func renderAll(t *testing.T, r interface {
+	WriteTable(io.Writer)
+	WriteCSV(io.Writer) error
+	WriteJSON(io.Writer) error
+}) string {
+	t.Helper()
+	var sb strings.Builder
+	r.WriteTable(&sb)
+	sb.WriteString("\n")
+	if err := r.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	sb.WriteString("\n")
+	if err := r.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
 func writeChurnCell(sb *strings.Builder, name string, m bench.RunMetrics, ks kernel.Stats) {
 	fmt.Fprintf(sb, "%s\n  runtime %d idle %d fault_cycles %d ops %d\n",
 		name, m.Runtime, m.TotalIdle, m.FaultCycles, m.Ops)
@@ -230,6 +268,7 @@ func TestGoldenFixturesPresent(t *testing.T) {
 	for _, name := range []string{
 		"latency.golden", "fig10.golden", "suite.golden",
 		"perthread.golden", "sweep.golden", "report.golden", "churn.golden",
+		"chaos.golden", "adaptive.golden",
 	} {
 		b, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {

@@ -47,76 +47,51 @@ func RunNetServeCell(spec NetServeSpec, memBytes uint64, cfg serve.Config) (*Net
 	if spec.Conns < 1 || spec.Ops < 1 {
 		return nil, fmt.Errorf("netserve: bad spec %+v", spec)
 	}
-	topo := topology.Opteron6128()
-	m, err := phys.DefaultSeparable(memBytes, topo.Nodes())
-	if err != nil {
-		return nil, err
-	}
-	d, err := wire.NewDaemon(topo, m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	dir, err := os.MkdirTemp("", "tintnet")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	l, err := net.Listen("unix", filepath.Join(dir, "d.sock"))
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	serveDone := make(chan error, 1)
-	//tintvet:ignore goroleak: bounded by the deferred d.Close — Serve returns on close and the send lands in the 1-buffered channel
-	go func() { serveDone <- d.Serve(l) }()
-	defer d.Close()
-
-	assign, err := sched.PlanAssign(m, topo, wire.UncoloredEvery)
-	if err != nil {
-		return nil, err
-	}
-	addr := l.Addr().String()
-	var wg sync.WaitGroup
 	completed := make([]uint64, spec.Conns)
 	retries := make([]uint64, spec.Conns)
-	errs := make([]error, spec.Conns)
-	for i := 0; i < spec.Conns; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := wire.Dial("unix", addr)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			core, bank, llc := assign(i, i)
-			if err := c.Hello(core, bank, llc); err != nil {
-				errs[i] = err
-				//tintvet:ignore errdrop: hello failed; best-effort hang-up, nothing allocated yet
-				_ = c.Close()
-				return
-			}
-			completed[i], retries[i], errs[i] = serveChurn(c, spec.Ops, int64(i)+1)
-			if errs[i] == nil {
-				errs[i] = c.Goodbye()
-			} else {
-				//tintvet:ignore errdrop: already failing; churn error wins over hang-up error
-				_ = c.Close()
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	d, err := onDaemon(memBytes, cfg, func(daemon *wire.Daemon, addr string) error {
+		srv := daemon.Server()
+		assign, err := sched.PlanAssign(srv.Mapping(), srv.Topology(), wire.UncoloredEvery)
 		if err != nil {
-			return nil, fmt.Errorf("netserve: conn %d: %w", i, err)
+			return err
 		}
-	}
-	// Close audits at quiesce; its error is the audit verdict.
-	if err := d.Close(); err != nil {
-		return nil, err
-	}
-	if err := <-serveDone; err != nil {
-		return nil, fmt.Errorf("netserve: serve loop: %w", err)
+		var wg sync.WaitGroup
+		errs := make([]error, spec.Conns)
+		for i := 0; i < spec.Conns; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				c, err := wire.Dial("unix", addr)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				core, bank, llc := assign(i, i)
+				if err := c.Hello(core, bank, llc); err != nil {
+					errs[i] = err
+					//tintvet:ignore errdrop: hello failed; best-effort hang-up, nothing allocated yet
+					_ = c.Close()
+					return
+				}
+				completed[i], retries[i], errs[i] = serveChurn(c, spec.Ops, int64(i)+1)
+				if errs[i] == nil {
+					errs[i] = c.Goodbye()
+				} else {
+					//tintvet:ignore errdrop: already failing; churn error wins over hang-up error
+					_ = c.Close()
+				}
+			}(i)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				return fmt.Errorf("conn %d: %w", i, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("netserve: %w", err)
 	}
 	ds := d.Stats()
 	if ds.Reclaimed != 0 || ds.ReclaimFailed != 0 {
@@ -183,60 +158,34 @@ func RunChurnCell(spec ChurnSpec, memBytes uint64, cfg serve.Config) (*ChurnCell
 	if spec.Tasks < 1 || spec.Ops < 1 {
 		return nil, fmt.Errorf("churn: bad spec %+v", spec)
 	}
-	topo := topology.Opteron6128()
-	m, err := phys.DefaultSeparable(memBytes, topo.Nodes())
-	if err != nil {
-		return nil, err
-	}
-	d, err := wire.NewDaemon(topo, m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	dir, err := os.MkdirTemp("", "tintchurn")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	l, err := net.Listen("unix", filepath.Join(dir, "d.sock"))
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	serveDone := make(chan error, 1)
-	//tintvet:ignore goroleak: bounded by the deferred d.Close — Serve returns on close and the send lands in the 1-buffered channel
-	go func() { serveDone <- d.Serve(l) }()
-	defer d.Close()
-
-	c, err := wire.Dial("unix", l.Addr().String())
-	if err != nil {
-		return nil, err
-	}
-	for i, sp := range churnTaskSpecs(spec) {
-		id, err := c.TaskSpawn(sp)
+	var res *sched.Result
+	d, err := onDaemon(memBytes, cfg, func(_ *wire.Daemon, addr string) error {
+		c, err := wire.Dial("unix", addr)
 		if err != nil {
-			return nil, fmt.Errorf("churn: spawn %d: %w", i, err)
+			return err
 		}
-		if id != uint32(i) {
-			return nil, fmt.Errorf("churn: spawn %d got id %d", i, id)
+		for i, sp := range churnTaskSpecs(spec) {
+			id, err := c.TaskSpawn(sp)
+			if err != nil {
+				return fmt.Errorf("spawn %d: %w", i, err)
+			}
+			if id != uint32(i) {
+				return fmt.Errorf("spawn %d got id %d", i, id)
+			}
 		}
-	}
-	res, err := c.TaskRun(sched.Config{Policy: spec.Policy, Quantum: 16, Cores: 4})
+		res, err = c.TaskRun(sched.Config{Policy: spec.Policy, Quantum: 16, Cores: 4})
+		if err != nil {
+			return fmt.Errorf("run: %w", err)
+		}
+		for i, tr := range res.Tasks {
+			if tr.State != sched.StateExit || tr.Err != "" {
+				return fmt.Errorf("task %d ended %v (%s)", i, tr.State, tr.Err)
+			}
+		}
+		return c.Goodbye()
+	})
 	if err != nil {
-		return nil, fmt.Errorf("churn: run: %w", err)
-	}
-	for i, tr := range res.Tasks {
-		if tr.State != sched.StateExit || tr.Err != "" {
-			return nil, fmt.Errorf("churn: task %d ended %v (%s)", i, tr.State, tr.Err)
-		}
-	}
-	if err := c.Goodbye(); err != nil {
-		return nil, err
-	}
-	if err := d.Close(); err != nil {
-		return nil, err
-	}
-	if err := <-serveDone; err != nil {
-		return nil, fmt.Errorf("churn: serve loop: %w", err)
+		return nil, fmt.Errorf("churn: %w", err)
 	}
 	return &ChurnCellResult{Spec: spec, Result: res, Stats: d.Server().Stats()}, nil
 }
@@ -252,4 +201,54 @@ func ChurnScalingSpecs(ops int) []ChurnSpec {
 		{Name: "rr_2_tasks", Policy: sched.RR, Tasks: 2, Ops: ops},
 		{Name: "rr_32_tasks", Policy: sched.RR, Tasks: 32, Ops: ops},
 	}
+}
+
+// onDaemon boots a tintserved-shaped daemon over a fresh Opteron
+// machine of memBytes on a private unix socket, runs cell against it
+// at addr, and shuts it down on every path, returning the closed
+// daemon for its counters. Close audits the final state at quiesce,
+// so after a clean cell its error is the audit verdict; the serve
+// loop must then have returned clean too.
+func onDaemon(memBytes uint64, cfg serve.Config, cell func(d *wire.Daemon, addr string) error) (*wire.Daemon, error) {
+	topo := topology.Opteron6128()
+	m, err := phys.DefaultSeparable(memBytes, topo.Nodes())
+	if err != nil {
+		return nil, err
+	}
+	d, err := wire.NewDaemon(topo, m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer d.Close()
+	dir, err := os.MkdirTemp("", "tintnet")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	l, err := net.Listen("unix", filepath.Join(dir, "d.sock"))
+	if err != nil {
+		return nil, err
+	}
+	served := make(chan struct{})
+	var serveErr error
+	//tintvet:ignore goroleak: the deferred join waits for it — Serve returns once Close has run
+	go func() {
+		serveErr = d.Serve(l)
+		close(served)
+	}()
+	defer func() {
+		d.Close()
+		<-served
+	}()
+	if err := cell(d, l.Addr().String()); err != nil {
+		return nil, err
+	}
+	if err := d.Close(); err != nil {
+		return nil, err
+	}
+	<-served
+	if serveErr != nil {
+		return nil, fmt.Errorf("serve loop: %w", serveErr)
+	}
+	return d, nil
 }

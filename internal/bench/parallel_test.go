@@ -85,7 +85,7 @@ func TestParallelExperimentsMatchSequential(t *testing.T) {
 			}
 			r := bench.NewPerThreadResult(c)
 			var sb strings.Builder
-			r.WriteTables(&sb)
+			r.WriteTable(&sb)
 			err = r.WriteJSON(&sb)
 			return sb.String(), err
 		}},

@@ -78,7 +78,11 @@ func (r *Rows) Occupied(bc, lc int) bool {
 //   - MEM+LLC: the combinations (banks[b], lc), lc in mask, in
 //     ascending LLC color within ascending b from (banks[i], j),
 //     wrapping once: the start row from j, every other row, then the
-//     start row again below j.
+//     whole start row again. The first visit found the row empty
+//     from j, so in a single goroutine, where nothing changes the row
+//     within one call, the last visit returns what a scan below j
+//     would; in a serve shard, it may also find a list parked at or
+//     above j in the meantime.
 //   - bank-only: the rows of banks from banks[i], wrapping, each
 //     scanned from LLC color j and wrapping.
 //   - LLC-only: the columns of llcs from llcs[i], wrapping, each over
@@ -90,12 +94,9 @@ func (r *Rows) Occupied(bc, lc int) bool {
 func (r *Rows) Next(banks, llcs []int, mask []uint64, nodes []int, i, j int) (at, bc, lc int) {
 	switch {
 	case len(banks) > 0 && len(llcs) > 0:
-		lo, hi := j, r.nLLC
+		lo := j
 		for left := len(banks); left >= 0; left-- {
-			if left == 0 {
-				hi = j
-			}
-			if lc := r.first(banks[i], mask, lo, hi); lc >= 0 {
+			if lc := r.first(banks[i], mask, lo, r.nLLC); lc >= 0 {
 				return i, banks[i], lc
 			}
 			lo = 0

@@ -1,9 +1,7 @@
 package suite
 
 import (
-	"bytes"
 	_ "embed"
-	"encoding/json"
 	"fmt"
 	"os"
 )
@@ -14,40 +12,16 @@ import (
 //go:embed default.toml
 var defaultTOML []byte
 
-// Parse decodes a registry from TOML (default) or JSON (first
-// non-space byte '{') and validates it. Errors carry either a
-// positional "suite: line N:" prefix (syntax) or the addressed
-// "suite: <name>: <field>:" prefix (validation).
+// Parse decodes a registry from TOML and validates it. Errors carry
+// either a positional "suite: line N:" prefix (syntax) or the
+// addressed "suite: <name>: <field>:" prefix (validation).
 func Parse(data []byte) (*Registry, error) {
-	var (
-		reg *Registry
-		err error
-	)
-	if trimmed := bytes.TrimSpace(data); len(trimmed) > 0 && trimmed[0] == '{' {
-		reg, err = parseJSON(trimmed)
-	} else {
-		reg, err = parseTOML(data)
-	}
+	reg, err := parseTOML(data)
 	if err != nil {
 		return nil, err
 	}
 	if err := reg.Validate(); err != nil {
 		return nil, err
-	}
-	return reg, nil
-}
-
-func parseJSON(data []byte) (*Registry, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	reg := &Registry{}
-	if err := dec.Decode(reg); err != nil {
-		return nil, fmt.Errorf("suite: json: %w", err)
-	}
-	// Normalize empty to nil so the JSON and TOML forms of the same
-	// registry are DeepEqual (round-trip property).
-	if len(reg.Suites) == 0 {
-		reg.Suites = nil
 	}
 	return reg, nil
 }

@@ -2,14 +2,13 @@ package suite
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"strconv"
 )
 
 // MarshalTOML renders the registry in the TOML subset parseTOML
-// accepts. Zero-valued fields are omitted, so load → marshal → load
-// is DeepEqual-stable (the fuzz target's round-trip property).
+// accepts, for the round-trip tests. Zero-valued fields are omitted,
+// so load → marshal → load is DeepEqual-stable.
 func (r *Registry) MarshalTOML() []byte {
 	var b bytes.Buffer
 	for i := range r.Suites {
@@ -78,12 +77,4 @@ func tomlUint(b *bytes.Buffer, key string, v uint64) {
 	if v != 0 {
 		fmt.Fprintf(b, "%s = %d\n", key, v)
 	}
-}
-
-// MarshalJSON renders the registry as indented JSON (the alternate
-// on-disk format Parse accepts).
-func (r *Registry) MarshalJSON() ([]byte, error) {
-	// Alias dodges the method's own name during encoding.
-	type alias Registry
-	return json.MarshalIndent((*alias)(r), "", "  ")
 }

@@ -1,5 +1,5 @@
-// Package suite is the declarative workload-suite registry: TOML or
-// JSON descriptions of benchmark suites — which workloads (builtin or
+// Package suite is the declarative workload-suite registry: TOML
+// descriptions of benchmark suites — which workloads (builtin or
 // parameterized driver instances), which thread-pinning
 // configurations, which coloring policies, how many repeats, at what
 // scale — loaded and validated at startup, so adding a scenario is a
@@ -30,14 +30,14 @@ import (
 // do not interpret).
 type WorkloadSpec struct {
 	// Name is the instance name; empty defaults to the driver name.
-	Name      string `json:"name,omitempty"`
-	Driver    string `json:"driver"`
-	Footprint uint64 `json:"footprint,omitempty"`
-	Block     uint64 `json:"block,omitempty"`
-	Ops       uint64 `json:"ops,omitempty"`
-	Ticks     int    `json:"ticks,omitempty"`
-	Depth     int    `json:"depth,omitempty"`
-	ReadPct   int    `json:"read_pct,omitempty"`
+	Name      string
+	Driver    string
+	Footprint uint64
+	Block     uint64
+	Ops       uint64
+	Ticks     int
+	Depth     int
+	ReadPct   int
 }
 
 // InstanceName returns the effective workload name.
@@ -69,25 +69,25 @@ func (w WorkloadSpec) Resolve() (workload.Workload, error) {
 // Suite is one registry entry: a named workload × config × policy
 // matrix with its run parameters.
 type Suite struct {
-	Name        string         `json:"name"`
-	Description string         `json:"description,omitempty"`
-	Workloads   []WorkloadSpec `json:"workloads"`
+	Name        string
+	Description string
+	Workloads   []WorkloadSpec
 	// Configs are thread-pinning configuration names
 	// (bench.Configurations).
-	Configs []string `json:"configs"`
+	Configs []string
 	// Policies are coloring-policy names (policy.ParsePolicy).
-	Policies []string `json:"policies"`
+	Policies []string
 	// Repeats per cell; 0 defers to the runner (tintbench -repeats).
-	Repeats int `json:"repeats,omitempty"`
+	Repeats int
 	// Scale multiplies working sets; 0 defers to the runner.
-	Scale float64 `json:"scale,omitempty"`
+	Scale float64
 	// Seed is the base random seed; 0 defers to the runner.
-	Seed int64 `json:"seed,omitempty"`
+	Seed int64
 }
 
 // Registry is a loaded suite file.
 type Registry struct {
-	Suites []Suite `json:"suites"`
+	Suites []Suite
 }
 
 // ByName finds a suite.

@@ -61,30 +61,6 @@ func TestParseTOML(t *testing.T) {
 	}
 }
 
-func TestParseJSON(t *testing.T) {
-	data := `{
-  "suites": [
-    {
-      "name": "demo",
-      "workloads": [{"driver": "lbm"}],
-      "configs": ["16_threads_4_nodes"],
-      "policies": ["buddy"]
-    }
-  ]
-}`
-	reg, err := Parse([]byte(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reg.Suites) != 1 || reg.Suites[0].Name != "demo" {
-		t.Fatalf("bad parse: %+v", reg)
-	}
-	// Unknown JSON fields must be rejected, same as unknown TOML keys.
-	if _, err := Parse([]byte(`{"suites":[{"name":"x","typo":1}]}`)); err == nil {
-		t.Error("unknown JSON field accepted")
-	}
-}
-
 // Syntax errors carry a positional prefix; validation errors carry
 // the addressed "suite: <name>: <field>:" prefix.
 func TestParseErrors(t *testing.T) {
@@ -103,6 +79,7 @@ func TestParseErrors(t *testing.T) {
 		"[[suite]]\nname = \"x\n",                 // unterminated string
 		"[[suite]]\nname = \"x\"\nname = \"y\"\n", // duplicate key in one table
 		"[[suite]]\n[[suite.workload]]\ndriver = \"lbm\"\ndriver = \"lbm\"\n",
+		"{\"suites\": []}\n", // the registry is TOML only
 	}
 	for _, src := range syntax {
 		_, err := Parse([]byte(src))
@@ -203,25 +180,13 @@ func TestDefaultRegistry(t *testing.T) {
 
 func TestRoundTrip(t *testing.T) {
 	reg := Default()
-	// TOML: load -> marshal -> load must be DeepEqual.
+	// load -> marshal -> load must be DeepEqual.
 	again, err := Parse(reg.MarshalTOML())
 	if err != nil {
 		t.Fatalf("re-parse of MarshalTOML: %v", err)
 	}
 	if !reflect.DeepEqual(reg, again) {
 		t.Errorf("TOML round-trip diverged:\n%+v\n%+v", reg, again)
-	}
-	// JSON path too.
-	data, err := reg.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err = Parse(data)
-	if err != nil {
-		t.Fatalf("re-parse of MarshalJSON: %v", err)
-	}
-	if !reflect.DeepEqual(reg, again) {
-		t.Errorf("JSON round-trip diverged")
 	}
 }
 
