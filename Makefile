@@ -52,7 +52,7 @@ bench-gate:
 
 # Zero-allocation gate, two halves (see CONTRIBUTING.md):
 #   1. The AllocsPerRun tests pin the serve colored fast path, the
-#      miss path on a drained shard and the borrow-color rung, the
+#      miss path on a drained machine and the borrow-color rung, the
 #      kernel's LLC-only parked fault and borrow-color ladder fault,
 #      and a wire Alloc+Free exchange with a daemon at exactly 0
 #      allocs/op. They must run without -race (the race detector's

@@ -241,8 +241,7 @@ func runBenchHarness(w io.Writer, outPath, parCSV string, memBytes uint64,
 	// Fold the previous report (if the output file holds one) in as
 	// the baseline, and report the suite before/after at the first
 	// -bench-parallel value — the engine-throughput regression gate —
-	// when the two runs are comparable. (benchfmt reads v1 and v2
-	// baselines alike.)
+	// when the two runs are comparable.
 	if data, err := os.ReadFile(outPath); err == nil {
 		var prev benchfmt.Report
 		if json.Unmarshal(data, &prev) == nil && len(prev.Records) > 0 {

@@ -11,7 +11,6 @@
 //	tintserve                              # 16 clients over all 4 shards
 //	tintserve -nodes 1 -clients 16         # same load on a single shard
 //	tintserve -ops 100000 -highwater 48
-//	tintserve -disable-borrow              # paper-faithful fail-hard mode
 //
 // Exit status is 0 on a clean audited run, 1 on a runtime failure,
 // 2 on a usage error.
@@ -34,7 +33,6 @@ type options struct {
 	ops       int
 	memGiB    float64
 	highwater int
-	noBorrow  bool
 }
 
 // validate rejects option combinations before any platform is built.
@@ -71,7 +69,6 @@ func main() {
 	flag.IntVar(&o.ops, "ops", 20000, "churn operations per client")
 	flag.Float64Var(&o.memGiB, "mem", 2, "installed physical memory in GiB")
 	flag.IntVar(&o.highwater, "highwater", 0, "concurrent refill misses per shard before ErrBusy (0 = default 192)")
-	flag.BoolVar(&o.noBorrow, "disable-borrow", false, "fail with ErrNoMemory instead of walking the cross-shard ladder")
 	flag.Parse()
 
 	if err := validate(o); err != nil {
@@ -80,10 +77,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := serve.Config{
-		HighWater:     o.highwater,
-		DisableBorrow: o.noBorrow,
-	}
+	cfg := serve.Config{HighWater: o.highwater}
 	spec := bench.ServeSpec{
 		Name:    fmt.Sprintf("%d_nodes_%d_clients", o.nodes, o.clients),
 		Nodes:   o.nodes,

@@ -40,7 +40,6 @@ type options struct {
 	listen    string
 	memGiB    float64
 	highwater int
-	noBorrow  bool
 }
 
 // parseListen splits a -listen spec into (network, address). Only
@@ -86,7 +85,6 @@ func main() {
 	flag.StringVar(&o.listen, "listen", "unix:tintserved.sock", "transport spec: unix:PATH or tcp:HOST:PORT")
 	flag.Float64Var(&o.memGiB, "mem", 2, "installed physical memory in GiB")
 	flag.IntVar(&o.highwater, "highwater", 0, "concurrent refill misses per shard before ErrBusy (0 = default 192)")
-	flag.BoolVar(&o.noBorrow, "disable-borrow", false, "fail with ErrNoMemory instead of walking the cross-shard ladder")
 	flag.Parse()
 
 	if err := validate(o); err != nil {
@@ -102,10 +100,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tintserved:", err)
 		os.Exit(1)
 	}
-	d, err := wire.NewDaemon(topo, m, serve.Config{
-		HighWater:     o.highwater,
-		DisableBorrow: o.noBorrow,
-	})
+	d, err := wire.NewDaemon(topo, m, serve.Config{HighWater: o.highwater})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tintserved:", err)
 		os.Exit(1)

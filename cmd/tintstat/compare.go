@@ -44,7 +44,7 @@ type deltaRow struct {
 	// (throughput), NaN when the old mean is unusable.
 	DeltaPct float64 `json:"delta_pct"`
 	// Welch's t-test of new vs old samples. P is NaN when either side
-	// has fewer than two samples (v1 inputs).
+	// has fewer than two samples.
 	T float64 `json:"t"`
 	P float64 `json:"p"`
 	// Significant: P < alpha. Regression: significant AND the mean

@@ -1,5 +1,5 @@
 // tintstat is the statistical benchmark-regression gate: it compares
-// two BENCH_*.json reports (engine or serve harness, format v1 or v2)
+// two format-2 BENCH_*.json reports (engine or serve harness)
 // and decides — with Welch's t-test over the raw per-sample
 // throughput distributions — whether the new report is significantly
 // slower than the old one.

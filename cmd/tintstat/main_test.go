@@ -54,9 +54,9 @@ func TestExitCodes(t *testing.T) {
 		{"same-file", []string{td("engine_old.json"), td("engine_old.json")}, 0},
 		{"exact-ops-clean", []string{"-exact-ops", td("engine_old.json"), td("engine_ok.json")}, 0},
 		{"exact-ops-drift", []string{"-exact-ops", td("engine_old.json"), td("engine_opsdrift.json")}, 1},
-		// v1 inputs have single samples: a big drop is reported but
-		// cannot be statistically significant, so it does not gate.
-		{"v1-delta-no-gate", []string{td("engine_v1_old.json"), td("engine_v1_slow.json")}, 0},
+		// Single-sample records: a big drop is reported but cannot be
+		// statistically significant, so it does not gate.
+		{"single-sample-no-gate", []string{td("engine_single_old.json"), td("engine_single_slow.json")}, 0},
 		// A sky-high threshold turns a significant drop into a pass.
 		{"threshold", []string{"-threshold", "50", td("engine_old.json"), td("engine_regress.json")}, 0},
 		// alpha 0.000001: the drop stops being significant.

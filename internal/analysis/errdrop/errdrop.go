@@ -1,8 +1,8 @@
 // Package errdrop flags discarded errors from allocator APIs. The
 // failure paths of Mmap/Malloc/Alloc and friends encode the paper's
-// semantics — ErrNoColoredMemory is the documented "no more pages of
-// this color" contract, buddy exhaustion drives the fallback story —
-// so silently dropping those errors hides exactly the conditions the
+// semantics — ErrNoMemory means the degradation ladder found no free
+// frame anywhere, buddy exhaustion drives the fallback story — so
+// silently dropping those errors hides exactly the conditions the
 // reproduction is supposed to surface.
 package errdrop
 

@@ -2,10 +2,12 @@ package bench
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/tintmalloc/tintmalloc/internal/sched"
 	"github.com/tintmalloc/tintmalloc/internal/serve"
+	"github.com/tintmalloc/tintmalloc/internal/wire"
 )
 
 func TestRunNetServeCell(t *testing.T) {
@@ -22,6 +24,27 @@ func TestRunNetServeCell(t *testing.T) {
 	}
 	if cell.Daemon.Sessions != 4 {
 		t.Fatalf("sessions %d, want 4", cell.Daemon.Sessions)
+	}
+}
+
+// onDaemon's verdict on a clean cell is the daemon's closing audit: a
+// cell that retires a client while it still holds a frame leaves the
+// server unbalanced at quiesce, and onDaemon must return the audit's
+// violation.
+func TestOnDaemonReturnsAudit(t *testing.T) {
+	_, err := onDaemon(64<<20, serve.Config{}, func(d *wire.Daemon, addr string) error {
+		c, err := d.Server().NewClient(0)
+		if err != nil {
+			return err
+		}
+		if _, err := c.Alloc(); err != nil {
+			return err
+		}
+		c.Close()
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "owned by unknown client") {
+		t.Fatalf("onDaemon = %v, want the closing audit's violation", err)
 	}
 }
 

@@ -1,19 +1,11 @@
 // Package benchfmt defines the on-disk schema of the repository's
-// benchmark reports (BENCH_engine.json, BENCH_serve.json) and a
-// version-tolerant reader that normalizes either file into keyed
-// sample series for statistical comparison by tintstat.
-//
-// Format history:
-//
-//	v1 (implicit, no "format" field): one wall-clock measurement per
-//	   record, aggregates only. A v1 record reads back as a series
-//	   with a single sample, which supports delta reporting but not
-//	   significance testing.
-//	v2 ("format": 2): every record additionally carries the raw
-//	   per-sample measurements (wall seconds and the derived
-//	   throughputs), so consumers can compute real distributions —
-//	   mean, stddev, confidence intervals, Welch's t — instead of
-//	   eyeballing two aggregates.
+// benchmark reports (BENCH_engine.json, BENCH_serve.json) and a reader
+// that normalizes either file into keyed sample series for statistical
+// comparison by tintstat. Reports are format 2: every record carries
+// its raw per-sample measurements (wall seconds and the derived
+// throughputs) beside their means, so consumers compute real
+// distributions — mean, stddev, confidence intervals, Welch's t —
+// instead of eyeballing two aggregates.
 package benchfmt
 
 import (
@@ -22,7 +14,7 @@ import (
 	"os"
 )
 
-// FormatVersion is the schema version this package writes.
+// FormatVersion is the schema version this package reads and writes.
 const FormatVersion = 2
 
 // Record is one (experiment, parallel) measurement of the engine
@@ -42,8 +34,8 @@ type Record struct {
 	// don't occur, every cell at least boots a machine). tintstat's
 	// -exact-allocs gate compares it across reports.
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	// Raw per-sample measurements (format 2). The aggregate fields
-	// above hold the mean across samples.
+	// Raw per-sample measurements. The aggregate fields above hold
+	// the mean across samples.
 	WallSecondsSamples []float64 `json:"wall_seconds_samples,omitempty"`
 	OpsPerSecSamples   []float64 `json:"ops_per_sec_samples,omitempty"`
 	CellsPerSecSamples []float64 `json:"cells_per_sec_samples,omitempty"`
@@ -55,7 +47,7 @@ type Report struct {
 	Scale   float64 `json:"scale"`
 	Repeats int     `json:"repeats"`
 	// Samples is how many times each (experiment, parallel) cell was
-	// re-timed (format 2; v1 files measured once).
+	// re-timed.
 	Samples int `json:"samples,omitempty"`
 	// HostCPUs bounds the achievable speedup: -parallel buys wall
 	// clock only up to the host's core count (results are identical
@@ -108,7 +100,7 @@ type ServeRecord struct {
 	// every goroutine, so it measures the whole serving stack, not one
 	// client's view.
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	// Raw per-sample measurements (format 2).
+	// Raw per-sample measurements.
 	WallSecondsSamples []float64 `json:"wall_seconds_samples,omitempty"`
 	OpsPerSecSamples   []float64 `json:"ops_per_sec_samples,omitempty"`
 }
@@ -159,7 +151,7 @@ type ChurnRecord struct {
 	Blocks      uint64  `json:"blocks"`
 	WallSeconds float64 `json:"wall_seconds"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
-	// Raw per-sample measurements (format 2).
+	// Raw per-sample measurements.
 	WallSecondsSamples []float64 `json:"wall_seconds_samples,omitempty"`
 	OpsPerSecSamples   []float64 `json:"ops_per_sec_samples,omitempty"`
 }
@@ -184,8 +176,7 @@ type Series struct {
 	Key string
 	// Unit names the throughput measure ("ops/sec" or "cells/sec").
 	Unit string
-	// Samples holds the raw throughput samples, higher = better. For
-	// v1 files this is the single aggregate measurement.
+	// Samples holds the raw throughput samples, higher = better.
 	Samples []float64
 	// Ops is the deterministic simulated-work counter (engine ops or
 	// completed client ops). For a fixed scale/seed it must not vary
@@ -208,12 +199,13 @@ const (
 	KindServe  Kind = "serve"
 )
 
-// Decode normalizes a report file (either harness, any format
-// version) into keyed series in file order.
+// Decode normalizes a format-2 report file (either harness) into
+// keyed series in file order.
 func Decode(data []byte) (Kind, []Series, error) {
 	// The two report shapes are distinguished by their record keys:
 	// engine records carry "experiment", serve records "scenario".
 	var probe struct {
+		Format  int `json:"format"`
 		Records []struct {
 			Experiment string `json:"experiment"`
 			Scenario   string `json:"scenario"`
@@ -221,6 +213,10 @@ func Decode(data []byte) (Kind, []Series, error) {
 	}
 	if err := json.Unmarshal(data, &probe); err != nil {
 		return "", nil, fmt.Errorf("benchfmt: %w", err)
+	}
+	// Format 1, aggregates only, had no format field.
+	if f := max(probe.Format, 1); f != FormatVersion {
+		return "", nil, fmt.Errorf("benchfmt: report format %d, want %d", f, FormatVersion)
 	}
 	if len(probe.Records) == 0 {
 		return "", nil, fmt.Errorf("benchfmt: no records")
@@ -282,15 +278,9 @@ func engineSeries(r *Record) Series {
 	if r.EngineOps == 0 {
 		s.Unit = "cells/sec"
 		s.Samples = append([]float64(nil), r.CellsPerSecSamples...)
-		if len(s.Samples) == 0 {
-			s.Samples = []float64{r.CellsPerSec}
-		}
 		return s
 	}
 	s.Samples = append([]float64(nil), r.OpsPerSecSamples...)
-	if len(s.Samples) == 0 {
-		s.Samples = []float64{r.OpsPerSec}
-	}
 	return s
 }
 
@@ -311,31 +301,23 @@ func ServeSeries(rep *ServeReport) []Series {
 }
 
 func churnSeries(r *ChurnRecord) Series {
-	s := Series{
-		Key:  "churn/" + r.Scenario,
-		Unit: "ops/sec",
-		Ops:  r.Ops,
+	return Series{
+		Key:     "churn/" + r.Scenario,
+		Unit:    "ops/sec",
+		Samples: append([]float64(nil), r.OpsPerSecSamples...),
+		Ops:     r.Ops,
 	}
-	s.Samples = append([]float64(nil), r.OpsPerSecSamples...)
-	if len(s.Samples) == 0 {
-		s.Samples = []float64{r.OpsPerSec}
-	}
-	return s
 }
 
 func serveSeries(r *ServeRecord, prefix string) Series {
-	s := Series{
+	return Series{
 		Key:         prefix + r.Scenario,
 		Unit:        "ops/sec",
+		Samples:     append([]float64(nil), r.OpsPerSecSamples...),
 		Ops:         r.Ops,
 		AllocsPerOp: r.AllocsPerOp,
 		HasAllocs:   r.AllocsPerOp != 0,
 	}
-	s.Samples = append([]float64(nil), r.OpsPerSecSamples...)
-	if len(s.Samples) == 0 {
-		s.Samples = []float64{r.OpsPerSec}
-	}
-	return s
 }
 
 // WriteFile marshals a report (either shape) to path with the

@@ -2,11 +2,13 @@ package benchfmt
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// A v1 engine report: no format field, aggregates only. The reader
-// must accept it and surface single-sample series.
+// A format-1 engine report: no format field, aggregates only. Read
+// without its samples it would decode into empty series, so Decode
+// must refuse it and name the format.
 const v1Engine = `{
   "scale": 0.1,
   "repeats": 2,
@@ -25,19 +27,32 @@ const v1Engine = `{
 
 func TestDecodeV1Engine(t *testing.T) {
 	kind, series, err := Decode([]byte(v1Engine))
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), "format 1") {
+		t.Fatalf("Decode error = %v, want one naming format 1", err)
 	}
-	if kind != KindEngine {
-		t.Fatalf("kind = %q, want engine", kind)
+	if kind != "" || series != nil {
+		t.Fatalf("Decode returned kind %q and %d series with its error", kind, len(series))
 	}
-	want := []Series{
-		{Key: "latency/parallel=1", Unit: "cells/sec", Samples: []float64{8}, Ops: 0, Cells: 4},
-		{Key: "suite/parallel=1", Unit: "ops/sec", Samples: []float64{500}, Ops: 1000, Cells: 210},
-		{Key: "overall/parallel=1", Unit: "ops/sec", Samples: []float64{400}, Ops: 1000, Cells: 214},
+}
+
+const v1Serve = `{
+  "host_cpus": 1,
+  "ops_per_client": 2000,
+  "records": [
+    {"scenario": "4_nodes_16_clients", "nodes": 4, "clients": 16, "ops": 32000,
+     "wall_seconds": 0.8, "ops_per_sec": 40000, "retries": 3, "refills": 10,
+     "batches": 5, "batched_reqs": 40, "degraded": 7}
+  ],
+  "shard_scaling": 1.04
+}`
+
+func TestDecodeV1Serve(t *testing.T) {
+	kind, series, err := Decode([]byte(v1Serve))
+	if err == nil || !strings.Contains(err.Error(), "format 1") {
+		t.Fatalf("Decode error = %v, want one naming format 1", err)
 	}
-	if !reflect.DeepEqual(series, want) {
-		t.Fatalf("series = %+v, want %+v", series, want)
+	if kind != "" || series != nil {
+		t.Fatalf("Decode returned kind %q and %d series with its error", kind, len(series))
 	}
 }
 
@@ -67,33 +82,6 @@ func TestDecodeV2Engine(t *testing.T) {
 	}
 	want := []Series{
 		{Key: "suite/parallel=1", Unit: "ops/sec", Samples: []float64{526, 500, 476}, Ops: 1000, Cells: 210},
-	}
-	if !reflect.DeepEqual(series, want) {
-		t.Fatalf("series = %+v, want %+v", series, want)
-	}
-}
-
-const v1Serve = `{
-  "host_cpus": 1,
-  "ops_per_client": 2000,
-  "records": [
-    {"scenario": "4_nodes_16_clients", "nodes": 4, "clients": 16, "ops": 32000,
-     "wall_seconds": 0.8, "ops_per_sec": 40000, "retries": 3, "refills": 10,
-     "batches": 5, "batched_reqs": 40, "degraded": 7}
-  ],
-  "shard_scaling": 1.04
-}`
-
-func TestDecodeV1Serve(t *testing.T) {
-	kind, series, err := Decode([]byte(v1Serve))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != KindServe {
-		t.Fatalf("kind = %q, want serve", kind)
-	}
-	want := []Series{
-		{Key: "4_nodes_16_clients", Unit: "ops/sec", Samples: []float64{40000}, Ops: 32000},
 	}
 	if !reflect.DeepEqual(series, want) {
 		t.Fatalf("series = %+v, want %+v", series, want)
@@ -151,19 +139,22 @@ func TestDecodeServeNetAndChurn(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	for name, data := range map[string]string{
-		"not json":       `nope`,
-		"no records":     `{"records": []}`,
-		"unknown record": `{"records": [{"foo": 1}]}`,
+	for name, c := range map[string]struct{ data, want string }{
+		"not json":       {`nope`, "invalid character"},
+		"no records":     {`{"format": 2, "records": []}`, "no records"},
+		"unknown record": {`{"format": 2, "records": [{"foo": 1}]}`, "neither"},
+		// Format 1 had no format field and no samples.
+		"format 1": {`{"records": [{"experiment": "suite", "parallel": 1, "ops_per_sec": 500}]}`, "format 1"},
+		"format 3": {`{"format": 3, "records": [{"scenario": "x", "ops_per_sec": 1}]}`, "format 3"},
 	} {
-		if _, _, err := Decode([]byte(data)); err == nil {
-			t.Errorf("%s: Decode accepted invalid input", name)
+		if _, _, err := Decode([]byte(c.data)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Decode error = %v, want one naming %q", name, err, c.want)
 		}
 	}
 }
 
-// Round-trip: a v2 report written by WriteFile must decode to the
-// same series.
+// Round-trip: a report written by WriteFile must decode to the same
+// series.
 func TestWriteReadRoundTrip(t *testing.T) {
 	rep := &Report{
 		Format: FormatVersion, Scale: 0.1, Repeats: 1, Samples: 2, HostCPUs: 4,

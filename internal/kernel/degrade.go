@@ -12,12 +12,13 @@ import (
 // fails an mmap when no page of the requested color exists, which is
 // the right contract for a coloring *experiment* but the wrong one
 // for a long-running system: a transient squeeze on one node would
-// kill tasks while free frames sit idle elsewhere. When degradation
-// is enabled (the default), a failed preferred-placement allocation
-// steps down rung by rung instead, and every frame handed out below
-// the top is recorded as a loan so the reclaim pass can send it home
-// once pressure subsides and the invariant auditor can account for
-// the temporary break in color exclusivity.
+// kill tasks while free frames sit idle elsewhere. A failed
+// preferred-placement allocation steps down rung by rung instead
+// (Ladder), and every frame handed out below the top is recorded as a
+// loan so the reclaim pass can send it home once pressure subsides and
+// the invariant auditor can account for the temporary break in color
+// exclusivity. Only when no rung has a frame does the allocation fail,
+// with ErrNoMemory.
 
 // Rung identifies how far from its preferred placement a degraded
 // allocation landed.
@@ -32,8 +33,8 @@ const (
 	// a colored task: locality preserved, color guarantee dropped.
 	RungLocalUncolored
 	// RungRemote is anything beyond the local node — remote buddy
-	// frames, remote parked pages, and (as the very last resort) any
-	// parked page regardless of node or assignment.
+	// frames and remote parked pages — and, as the very last resort,
+	// a local parked page of any color, another task's included.
 	RungRemote
 	// NumRungs sizes per-rung counters.
 	NumRungs
@@ -105,58 +106,90 @@ func (k *Kernel) registerLoan(f phys.Frame, t *Task, vp uint64, rung Rung) {
 	k.stats.LoansRegistered++
 }
 
-func (k *Kernel) noteDegraded(t *Task, r Rung) {
-	k.stats.DegradedAllocs[r]++
-	t.degraded++
+// LadderStore is a store the degradation ladder walks: a color-list
+// store and its buddy zones, seen by one claim. Each method pops one
+// frame of one node, or reports false.
+type LadderStore interface {
+	// Lend pops the page Rows.Borrow finds on node for the claim: a
+	// color no claim holds, on the claim's coloring axis.
+	Lend(node int) (phys.Frame, bool)
+	// Zone pops an order-0 frame from node's buddy zone.
+	Zone(node int) (phys.Frame, bool)
+	// Parked pops any parked page of node, the list Rows.First finds.
+	Parked(node int) (phys.Frame, bool)
 }
 
-// degradedColoredAlloc walks the ladder for a colored task whose
-// preferred path (own colors, all refills) came up empty. By that
-// point every zone the task's colors map to has been drained into
-// color lists, so the rungs mix buddy frames and parked pages:
+// Ladder is the one walk of the degradation ladder, run once a
+// claim's preferred placement has come up empty; nodes is the claim's
+// zone-fallback order, local node first. The rungs, in order:
 //
-//  1. a same-node parked page of an unassigned color (borrow)
-//  2. any local-node buddy frame (locality without the color)
-//  3. remote nodes in zone-fallback order — buddy first, then
-//     parked — and finally any parked page anywhere
-func (k *Kernel) degradedColoredAlloc(t *Task) (phys.Frame, Rung, bool) {
-	local := t.nodeOrder[0]
-	if f, ok := k.popUnassigned(t, local); ok {
+//  1. a local page of a color no claim holds (RungBorrowColor);
+//  2. a local zone frame (RungLocalUncolored);
+//  3. each remote node's zone frame, then its parked pages
+//     (RungRemote);
+//  4. last, a local parked page of any color, another claim's
+//     included (RungRemote): exclusivity is surrendered before the
+//     machine reports OOM with free frames still parked, and the
+//     loan keeps the break visible to the auditor.
+//
+// An uncolored claim, whose zones are dry, takes parked pages in node
+// order: RungBorrowColor on its local node, RungRemote beyond it.
+// Ladder is generic over the store so that a call on a concrete store
+// allocates nothing.
+func Ladder[S LadderStore](s S, nodes []int, colored bool) (phys.Frame, Rung, bool) {
+	local := nodes[0]
+	if !colored {
+		rung := RungBorrowColor
+		for _, n := range nodes {
+			if f, ok := s.Parked(n); ok {
+				return f, rung, true
+			}
+			rung = RungRemote
+		}
+		return 0, RungNone, false
+	}
+	if f, ok := s.Lend(local); ok {
 		return f, RungBorrowColor, true
 	}
-	if f, err := k.zones[local].Alloc(0); err == nil {
-		return k.zoneLo[local] + f, RungLocalUncolored, true
+	if f, ok := s.Zone(local); ok {
+		return f, RungLocalUncolored, true
 	}
-	for _, n := range t.nodeOrder[1:] {
-		if f, err := k.zones[n].Alloc(0); err == nil {
-			return k.zoneLo[n] + f, RungRemote, true
+	for _, n := range nodes[1:] {
+		if f, ok := s.Zone(n); ok {
+			return f, RungRemote, true
 		}
-		if f, ok := k.popParkedOnNode(n); ok {
+		if f, ok := s.Parked(n); ok {
 			return f, RungRemote, true
 		}
 	}
-	// Very last resort: any parked page, even of a color another task
-	// owns. Exclusivity is surrendered before the machine reports OOM
-	// with free frames still parked; the loan record keeps the break
-	// visible to the auditor.
-	if f, ok := k.popAnyParked(t); ok {
+	if f, ok := s.Parked(local); ok {
 		return f, RungRemote, true
 	}
 	return 0, RungNone, false
 }
 
-// popUnassigned pops the parked page on node that Rows.Borrow lends
-// without touching any task's guarantee: a bank color no task claims
-// for bank-constrained borrowers, an LLC color no task claims for
-// LLC-only ones. Whether a color is claimed is read from the
-// per-color counts that Task.setBank and Task.setLLC keep.
-func (k *Kernel) popUnassigned(t *Task, node int) (phys.Frame, bool) {
+// taskStore is the kernel's LadderStore: its color table and zones,
+// lent on task t's claim from the task's LLC scan cursor.
+type taskStore struct {
+	k *Kernel
+	t *Task
+}
+
+func (s taskStore) Lend(node int) (phys.Frame, bool) {
+	k, t := s.k, s.t
 	bc, lc := k.colors.Borrow(node, t.usingBank, t.llcMask, t.llcScan, k.bankClaims, k.llcClaims)
 	if bc < 0 {
 		return 0, false
 	}
 	return k.colors.popExact(bc, lc)
 }
+
+func (s taskStore) Zone(node int) (phys.Frame, bool) {
+	f, err := s.k.zones[node].Alloc(0)
+	return s.k.zoneLo[node] + f, err == nil
+}
+
+func (s taskStore) Parked(node int) (phys.Frame, bool) { return s.k.popParkedOnNode(node) }
 
 // popParkedOnNode pops any parked page of node n: the newest page of
 // its first occupied list.
@@ -166,17 +199,6 @@ func (k *Kernel) popParkedOnNode(n int) (phys.Frame, bool) {
 		return 0, false
 	}
 	return k.colors.popExact(bc, lc)
-}
-
-// popAnyParked pops any parked page anywhere, visiting nodes in the
-// task's zone-fallback order so locality is preserved when possible.
-func (k *Kernel) popAnyParked(t *Task) (phys.Frame, bool) {
-	for _, n := range t.nodeOrder {
-		if f, ok := k.popParkedOnNode(n); ok {
-			return f, true
-		}
-	}
-	return 0, false
 }
 
 // reclaimParkedZone sweeps node n's parked pages out of the color
@@ -200,8 +222,9 @@ func (k *Kernel) reclaimParkedZone(n int) uint64 {
 }
 
 // allocPreferred is preferred-placement allocation only — Algorithm 1
-// without the ladder. The reclaim pass uses it so a loan moves home
-// only when its real placement is available again.
+// without the ladder. allocPagesFor tries it before the ladder; the
+// reclaim pass uses it alone, so a loan moves home only when its real
+// placement is available again.
 func (k *Kernel) allocPreferred(t *Task) (phys.Frame, clock.Dur, bool) {
 	k.stats.Faults++
 	if !t.usingBank && !t.usingLLC {

@@ -369,55 +369,52 @@ func TestMigrateFault(t *testing.T) {
 	auditClean(t, k)
 }
 
-// TestStrictModeNoPartialState: with DisableDegrade the paper's
-// fail-hard contract returns ErrNoColoredMemory, and the failed fault
+// TestStrictModeNoPartialState: once the ladder has spent every frame
+// of the machine a fault fails with ErrNoMemory, and the failed fault
 // leaves no partial mapping, no stale TLB entry and clean bookkeeping.
 func TestStrictModeNoPartialState(t *testing.T) {
-	cfg := kernel.DefaultConfig()
-	cfg.DisableDegrade = true
-	k := bootDegrade(t, cfg)
+	k := bootDegrade(t, kernel.DefaultConfig())
 	proc := k.NewProcess()
 	task, err := proc.NewTask(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One bank + one LLC color: tiny supply, quick exhaustion.
+	// One bank + one LLC color: tiny supply, so the ladder serves
+	// nearly every fault.
 	if _, err := task.Mmap(0|kernel.SetMemColor, 0, kernel.ColorAlloc); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := task.Mmap(0|kernel.SetLLCColor, 0, kernel.ColorAlloc); err != nil {
 		t.Fatal(err)
 	}
-	va, err := task.Mmap(0, uint64(k.Mapping().Frames())*phys.PageSize, 0)
+	// One page more than the machine has frames.
+	frames := k.Mapping().Frames()
+	va, err := task.Mmap(0, (frames+1)*phys.PageSize, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := uint64(0)
-	for ; ; p++ {
+	for ; p <= frames; p++ {
 		if _, _, err := task.Translate(va + p*phys.PageSize); err != nil {
-			if !errors.Is(err, kernel.ErrNoColoredMemory) {
-				t.Fatalf("strict-mode error = %v, want ErrNoColoredMemory", err)
+			if !errors.Is(err, kernel.ErrNoMemory) {
+				t.Fatalf("exhaustion error = %v, want ErrNoMemory", err)
 			}
 			break
 		}
+	}
+	if p != frames {
+		t.Fatalf("fault %d failed, want the first past the machine's %d frames", p, frames)
 	}
 	failVA := va + p*phys.PageSize
 	if task.Resident(failVA) {
 		t.Error("failed fault left the page resident")
 	}
 	// The failure must be stable: retrying changes nothing.
-	if _, _, err := task.Translate(failVA); !errors.Is(err, kernel.ErrNoColoredMemory) {
-		t.Errorf("retry error = %v, want ErrNoColoredMemory", err)
+	if _, _, err := task.Translate(failVA); !errors.Is(err, kernel.ErrNoMemory) {
+		t.Errorf("retry error = %v, want ErrNoMemory", err)
 	}
-	if free := k.FreeFrames(); free == 0 {
-		t.Error("strict-mode exhaustion consumed the whole machine; other colors should remain")
-	}
-	var degraded uint64
-	for _, c := range k.Stats().DegradedAllocs {
-		degraded += c
-	}
-	if degraded != 0 || k.Loans() != 0 {
-		t.Errorf("strict mode used the ladder: degraded=%d loans=%d", degraded, k.Loans())
+	if free := k.FreeFrames() + k.TotalColoredFree(); free != 0 {
+		t.Errorf("%d frames still free after exhaustion", free)
 	}
 	auditClean(t, k)
 }

@@ -37,18 +37,14 @@ import (
 
 // Sentinel errors.
 var (
-	// ErrNoColoredMemory reports that no free page of the task's
-	// colors exists anywhere (paper: "mmap() will return an error
-	// code indicating that no more pages of this color are
-	// available").
-	ErrNoColoredMemory = errors.New("kernel: no pages of the requested color available")
 	// ErrBadColor reports a color outside the platform's range.
 	ErrBadColor = errors.New("kernel: color out of range")
 	// ErrBadMmap reports a malformed mmap color request.
 	ErrBadMmap = errors.New("kernel: malformed mmap arguments")
 	// ErrSegfault reports access to an unmapped virtual address.
 	ErrSegfault = errors.New("kernel: segmentation fault")
-	// ErrNoMemory reports buddy exhaustion on the uncolored path.
+	// ErrNoMemory reports machine-wide exhaustion: the degradation
+	// ladder found no free frame on any node.
 	ErrNoMemory = errors.New("kernel: out of memory")
 )
 
@@ -86,14 +82,6 @@ type Config struct {
 	// imbalance. Colored allocations are unaffected: TintMalloc's
 	// node-constrained path is the point of the paper.
 	BuddyRemoteFrac float64
-	// DisableDegrade restores the paper-faithful fail-hard allocation
-	// semantics: a colored fault that cannot be refilled returns
-	// ErrNoColoredMemory and an uncolored fault with dry zones
-	// returns ErrNoMemory, even when free frames exist elsewhere.
-	// With the default (false), the kernel walks the degradation
-	// ladder of DESIGN.md Sec. 10 instead and only reports OOM once
-	// no free frame exists anywhere on the machine.
-	DisableDegrade bool
 }
 
 // RemoteChunkPages is the fault-chunk granularity of BuddyRemoteFrac:
@@ -354,50 +342,28 @@ func (k *Kernel) NewProcess() *Process {
 
 // allocPagesFor implements Algorithm 1 for an order-0 request on
 // behalf of task t, extended with the degradation ladder of DESIGN.md
-// Sec. 10: when the preferred placement fails and degradation is
-// enabled, the kernel steps down rung by rung and only reports OOM
-// once no free frame exists anywhere. The returned rung is RungNone
-// for a preferred-placement frame; callers that map a ladder frame
-// must register it as a loan (registerLoan) so the reclaim pass and
-// the invariant auditor can track it.
+// Sec. 10: when the preferred placement fails, the kernel steps down
+// rung by rung (Ladder) and only reports OOM once no free frame exists
+// anywhere. The returned rung is RungNone for a preferred-placement
+// frame; callers that map a ladder frame must register it as a loan
+// (registerLoan) so the reclaim pass and the invariant auditor can
+// track it.
 func (k *Kernel) allocPagesFor(t *Task) (phys.Frame, clock.Dur, Rung, error) {
-	k.stats.Faults++
-	if !t.usingBank && !t.usingLLC {
-		if f, cost, ok := k.allocDefault(t); ok {
-			return f, cost, RungNone, nil
-		}
-		if k.cfg.DisableDegrade {
-			return 0, 0, RungNone, ErrNoMemory
-		}
-		// Default-path ladder: the zones are dry, but free pages may
-		// still be parked on color lists. Taking one spends a colored
-		// page on an uncolored task — a degraded allocation, a
-		// same-node borrow when the page is local.
-		if f, ok := k.popAnyParked(t); ok {
-			rung := RungRemote
-			if k.mapping.NodeOfFrame(f) == t.nodeOrder[0] {
-				rung = RungBorrowColor
-			}
-			k.noteDegraded(t, rung)
-			return f, k.cfg.FaultCost, rung, nil
-		}
-		return 0, 0, RungNone, ErrNoMemory
-	}
-	t.faultCount++
-	f, cost, ok := k.allocColored(t)
+	f, cost, ok := k.allocPreferred(t)
 	if ok {
 		return f, cost, RungNone, nil
 	}
-	if k.cfg.DisableDegrade {
-		return 0, cost, RungNone, ErrNoColoredMemory
+	colored := t.usingBank || t.usingLLC
+	f, rung, ok := Ladder(taskStore{k, t}, t.nodeOrder, colored)
+	if !ok {
+		return 0, cost, RungNone, ErrNoMemory
 	}
-	if f, rung, ok := k.degradedColoredAlloc(t); ok {
-		k.noteDegraded(t, rung)
-		return f, cost, rung, nil
+	if !colored {
+		cost = k.cfg.FaultCost
 	}
-	// The ladder swept buddy zones and color lists alike, so this is
-	// genuine machine-wide exhaustion, not a coloring failure.
-	return 0, cost, RungNone, ErrNoMemory
+	k.stats.DegradedAllocs[rung]++
+	t.degraded++
+	return f, cost, rung, nil
 }
 
 // allocDefault is the default (uncolored) path: the buddy zones
@@ -517,18 +483,16 @@ func (k *Kernel) AllocPages(t *Task, order int) (phys.Frame, clock.Dur, error) {
 			return k.zoneLo[n] + f, k.cfg.FaultCost, nil
 		}
 	}
-	if !k.cfg.DisableDegrade {
-		// Degraded path for huge requests: un-color parked pages so
-		// they coalesce back into buddy blocks, then retry. Color
-		// lists re-shatter on the next colored refill.
-		for _, n := range t.nodeOrder {
-			if k.reclaimParkedZone(n) == 0 {
-				continue
-			}
-			if f, err := k.zones[n].Alloc(order); err == nil {
-				k.stats.BuddyPages += 1 << order
-				return k.zoneLo[n] + f, k.cfg.FaultCost, nil
-			}
+	// Degraded path for huge requests: un-color parked pages so they
+	// coalesce back into buddy blocks, then retry. Color lists
+	// re-shatter on the next colored refill.
+	for _, n := range t.nodeOrder {
+		if k.reclaimParkedZone(n) == 0 {
+			continue
+		}
+		if f, err := k.zones[n].Alloc(order); err == nil {
+			k.stats.BuddyPages += 1 << order
+			return k.zoneLo[n] + f, k.cfg.FaultCost, nil
 		}
 	}
 	return 0, 0, ErrNoMemory

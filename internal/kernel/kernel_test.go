@@ -412,49 +412,6 @@ func TestRegionLookupEdges(t *testing.T) {
 	translates(starts[2], true)
 }
 
-func TestColorExhaustion(t *testing.T) {
-	// One (bank, LLC) combo owns 1/(128*32) of memory: 4 frames of
-	// 16384. Demand more and, with the degradation ladder disabled
-	// (the paper-faithful mode), the colored path must fail with
-	// ErrNoColoredMemory. The default degrading behaviour is covered
-	// by the ladder tests in degrade_test.go.
-	top := topology.Opteron6128()
-	m, err := phys.DefaultSeparable(testMem, top.Nodes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.DisableDegrade = true
-	k, err := New(top, m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	task := newTask(t, k, 0)
-	bc := m.BankColorsOfNode(0)[0]
-	setColors(t, task, []int{bc}, []int{0})
-	va, _ := task.Mmap(0, 64*phys.PageSize, 0)
-	var got int
-	var lastErr error
-	for i := uint64(0); i < 64; i++ {
-		_, _, err := task.Translate(va + i*phys.PageSize)
-		if err != nil {
-			lastErr = err
-			break
-		}
-		got++
-	}
-	if lastErr == nil {
-		t.Fatalf("allocated %d pages of a single color from %d frames without error", got, m.Frames())
-	}
-	if !errors.Is(lastErr, ErrNoColoredMemory) {
-		t.Errorf("error = %v, want ErrNoColoredMemory", lastErr)
-	}
-	want := int(m.Frames()) / (m.NumBankColors() * m.NumLLCColors())
-	if got != want {
-		t.Errorf("got %d pages of the color, want %d", got, want)
-	}
-}
-
 func TestSharedAddressSpaceAcrossTasks(t *testing.T) {
 	k := boot(t)
 	p := k.NewProcess()

@@ -6,8 +6,11 @@ package serve_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -324,4 +327,177 @@ func churn(c *serve.Client, rng *rand.Rand, ops int) error {
 		}
 	}
 	return nil
+}
+
+// step is one allocation of a ladder walk: the rung it was served at
+// (RungNone for preferred placement) and the node its frame lives on.
+type step struct {
+	rung kernel.Rung
+	node int
+}
+
+// summary run-length encodes a walk, e.g. "none@1 ×256, remote@2 ×4096".
+func summary(walk []step) string {
+	var b strings.Builder
+	for i := 0; i < len(walk); {
+		j := i
+		for j < len(walk) && walk[j] == walk[i] {
+			j++
+		}
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%v@%d ×%d", walk[i].rung, walk[i].node, j-i)
+		i = j
+	}
+	return b.String()
+}
+
+// kernelWalk allocates order-0 frames for task until the machine is
+// dry, reading each frame's rung from the Stats.DegradedAllocs delta.
+func kernelWalk(t *testing.T, k *kernel.Kernel, task *kernel.Task) ([]step, []phys.Frame) {
+	t.Helper()
+	var walk []step
+	var frames []phys.Frame
+	for {
+		before := k.Stats().DegradedAllocs
+		f, _, err := k.AllocPages(task, 0)
+		if errors.Is(err, kernel.ErrNoMemory) {
+			return walk, frames
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := step{kernel.RungNone, k.Mapping().NodeOfFrame(f)}
+		for r, n := range k.Stats().DegradedAllocs {
+			if n != before[r] {
+				s.rung = kernel.Rung(r)
+			}
+		}
+		walk, frames = append(walk, s), append(frames, f)
+	}
+}
+
+// serveWalk allocates frames for c until the machine is dry, reading
+// each frame's rung from its loan mark.
+func serveWalk(t *testing.T, s *serve.Server, m *phys.Mapping, c *serve.Client) ([]step, []phys.Frame) {
+	t.Helper()
+	var walk []step
+	var frames []phys.Frame
+	for {
+		f, err := c.Alloc()
+		if errors.Is(err, serve.ErrNoMemory) {
+			return walk, frames
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		walk, frames = append(walk, step{s.LoanRung(f), m.NodeOfFrame(f)}), append(frames, f)
+	}
+}
+
+// TestLadderKernelVsServe pins the one order of the degradation
+// ladder (kernel.Ladder) on both sides. A kernel task and a serve
+// client with the same claim — 8 bank colors of one node × LLC colors
+// 0–7 — each allocate on a fresh machine until it is dry, and must
+// take the same (rung, node) at every allocation; after everything is
+// freed, an uncolored claim on the same core drains the machine again,
+// the same way on both sides. A claim on node 1 from a core of node 0
+// routes serve's misses to shard 1, but both ladders start on node 0.
+// Frames are not compared: the borrow-color rung scans LLC colors from
+// the task's cursor in the kernel and from 0 in serve. The walks
+// themselves are pinned too; both mappings give the same ones.
+func TestLadderKernelVsServe(t *testing.T) {
+	forEachMapper(t, func(t *testing.T, newMapping mapper) {
+		for _, tc := range []struct {
+			name      string
+			claimNode int
+			colored   string // the colored walk
+			uncolored string // the uncolored walk after it
+		}{
+			{"home-claim", 0,
+				"none@0 ×256, borrow-color@0 ×3072, remote@1 ×4096, remote@2 ×4096, remote@3 ×4096, remote@0 ×768",
+				"none@1 ×4096, none@2 ×4096, none@3 ×4096, borrow-color@0 ×4096"},
+			{"remote-claim", 1,
+				"none@1 ×256, local-uncolored@0 ×4096, remote@1 ×3840, remote@2 ×4096, remote@3 ×4096",
+				"none@0 ×4096, none@2 ×4096, none@3 ×4096, remote@1 ×4096"},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				ladderKernelVsServe(t, newMapping, tc.claimNode, tc.colored, tc.uncolored)
+			})
+		}
+	})
+}
+
+func ladderKernelVsServe(t *testing.T, newMapping mapper, claimNode int, wantColored, wantUncolored string) {
+	const core = 0
+	top, km := bootPair(t, newMapping)
+	sm, err := newMapping(diffMem, top.Nodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	claim := policy.Assignment{BankColors: km.BankColorsOfNode(claimNode)[:8], LLCColors: []int{0, 1, 2, 3, 4, 5, 6, 7}}
+
+	k, err := kernel.New(top, km, kernel.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc := k.NewProcess()
+	task, err := proc.NewTask(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := policy.Apply(task, claim); err != nil {
+		t.Fatal(err)
+	}
+	s, err := serve.New(top, sm, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := s.NewClient(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetColors(claim.BankColors, claim.LLCColors); err != nil {
+		t.Fatal(err)
+	}
+
+	compare := func(what string, kw, sw []step, want string) {
+		t.Helper()
+		if uint64(len(kw)) != km.Frames() {
+			t.Errorf("%s: kernel walk took %d frames of %d", what, len(kw), km.Frames())
+		}
+		if !slices.Equal(kw, sw) {
+			t.Errorf("%s walks differ:\nkernel: %s\nserve:  %s", what, summary(kw), summary(sw))
+		}
+		if got := summary(kw); got != want {
+			t.Errorf("%s walk = %s\nwant %s", what, got, want)
+		}
+	}
+	kw, kf := kernelWalk(t, k, task)
+	sw, sf := serveWalk(t, s, sm, c)
+	compare("colored", kw, sw, wantColored)
+
+	for _, f := range kf {
+		if err := k.FreePages(f, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range sf {
+		if err := c.Free(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	utask, err := proc.NewTask(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uc, err := s.NewClient(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kw, _ = kernelWalk(t, k, utask)
+	sw, _ = serveWalk(t, s, sm, uc)
+	compare("uncolored", kw, sw, wantUncolored)
 }

@@ -24,17 +24,16 @@
 //   - Backpressure is explicit: past a high-water mark of concurrent
 //     misses on a shard, a miss fails at once with ErrBusy instead of
 //     queueing on the zone lock — callers retry or shed load.
-//   - Exhaustion composes with the kernel's degradation ladder: a
-//     drained shard borrows (a home-shard page of a color no client
-//     claims on the client's coloring axis; a home-shard zone frame;
-//     a home-shard parked page of any color, another client's claim
-//     included; then the other shards, zone frame before parked page),
-//     records every below-preferred frame as a loan under the kernel's
-//     rung names, and reports ErrNoMemory only when no free frame
-//     exists on any shard. The borrow-color rung is the kernel's; the
-//     rungs after it run in a different order, for the sequential
-//     kernel spends a same-node page of another task's color last,
-//     after every remote node (DESIGN.md Sec. 11.4).
+//   - Exhaustion walks the kernel's degradation ladder itself: a
+//     drained shard calls kernel.Ladder over a store of the server's
+//     shards (clientStore). Starting on the client's local node,
+//     whichever shard its miss was routed to, the ladder takes a page
+//     of a color no client claims on the client's coloring axis, a
+//     local zone frame, each remote shard's zone frame and then its
+//     parked pages, and last a local parked page of any color. Every
+//     below-preferred frame is a loan under the kernel's rung names,
+//     and ErrNoMemory means no free frame exists on any shard
+//     (DESIGN.md Sec. 11.4).
 //   - The colored pops, the borrow-color rung included, are the
 //     kernel's own walks: each shard embeds a kernel.Rows over its
 //     buckets, whose finders name the bucket to pop; the shard pops it
@@ -94,10 +93,6 @@ type Config struct {
 	// shard past which a miss fails with ErrBusy (default 192, at most
 	// math.MaxInt32).
 	HighWater int
-	// DisableBorrow turns off the cross-shard degradation ladder: a
-	// drained shard fails with ErrNoMemory even while other shards
-	// have free frames (the paper-faithful fail-hard mode).
-	DisableBorrow bool
 }
 
 func (c Config) withDefaults() Config {
@@ -449,31 +444,20 @@ func (s *Server) routeShard(c *Client, seq uint64) *shard {
 // fallback order (the default policy), then — zones dry — parked
 // pages via the ladder, spending a colored page on an uncolored task.
 func (s *Server) allocDefault(c *Client) (phys.Frame, error) {
+	st := clientStore{s, c}
 	for _, n := range c.nodeOrder {
-		sh := s.shards[n]
-		sh.zoneMu.Lock()
-		f, err := sh.zone.Alloc(0)
-		sh.zoneMu.Unlock()
-		if err == nil {
-			s.finishAlloc(c, sh.base+f, kernel.RungNone)
+		if f, ok := st.Zone(n); ok {
+			s.finishAlloc(c, f, kernel.RungNone)
 			s.stats.defaultAllocs.Add(1)
-			return sh.base + f, nil
-		}
-	}
-	if s.cfg.DisableBorrow {
-		return 0, ErrNoMemory
-	}
-	if f, ok := s.shards[c.nodeOrder[0]].popAnyParked(); ok {
-		s.finishAlloc(c, f, kernel.RungBorrowColor)
-		return f, nil
-	}
-	for _, n := range c.nodeOrder[1:] {
-		if f, ok := s.shards[n].popAnyParked(); ok {
-			s.finishAlloc(c, f, kernel.RungRemote)
 			return f, nil
 		}
 	}
-	return 0, ErrNoMemory
+	f, rung, ok := kernel.Ladder(st, c.nodeOrder, false)
+	if !ok {
+		return 0, ErrNoMemory
+	}
+	s.finishAlloc(c, f, rung)
+	return f, nil
 }
 
 // finishAlloc records the loan, for a ladder frame, and then
@@ -489,45 +473,27 @@ func (s *Server) finishAlloc(c *Client, f phys.Frame, rung kernel.Rung) {
 	s.stats.allocs.Add(1)
 }
 
-// borrow walks the degradation ladder for a colored client whose home
-// shard came up empty: a home-shard page of a color no client claims
-// on the client's coloring axis (RungBorrowColor, the kernel's rule),
-// a home-shard zone frame, then a home-shard parked page of any color
-// (both RungLocalUncolored), then the other shards in node order, zone
-// frame before parked page (RungRemote). The sequential kernel's order
-// of the later rungs differs (DESIGN.md Sec. 11.4). Callers
-// must not hold any shard's zone lock (the ladder takes them one at a
-// time).
-func (s *Server) borrow(c *Client, home *shard) (phys.Frame, kernel.Rung, bool) {
-	if s.cfg.DisableBorrow {
-		return 0, kernel.RungNone, false
-	}
-	if f, ok := home.popUnassigned(c, s); ok {
-		return f, kernel.RungBorrowColor, true
-	}
-	home.zoneMu.Lock()
-	f, err := home.zone.Alloc(0)
-	home.zoneMu.Unlock()
-	if err == nil {
-		return home.base + f, kernel.RungLocalUncolored, true
-	}
-	if f, ok := home.popAnyParked(); ok {
-		return f, kernel.RungLocalUncolored, true
-	}
-	for _, n := range c.nodeOrder {
-		if n == home.node {
-			continue
-		}
-		sh := s.shards[n]
-		sh.zoneMu.Lock()
-		f, err := sh.zone.Alloc(0)
-		sh.zoneMu.Unlock()
-		if err == nil {
-			return sh.base + f, kernel.RungRemote, true
-		}
-		if f, ok := sh.popAnyParked(); ok {
-			return f, kernel.RungRemote, true
-		}
-	}
-	return 0, kernel.RungNone, false
+// clientStore is serve's kernel.LadderStore: the shards' zones and
+// buckets, lent on client c's claim. Each method takes one shard's
+// locks and drops them before it returns, so the ladder never holds
+// two; its callers must hold none.
+type clientStore struct {
+	s *Server
+	c *Client
+}
+
+func (st clientStore) Lend(node int) (phys.Frame, bool) {
+	return st.s.shards[node].popUnassigned(st.c, st.s)
+}
+
+func (st clientStore) Zone(node int) (phys.Frame, bool) {
+	sh := st.s.shards[node]
+	sh.zoneMu.Lock()
+	f, err := sh.zone.Alloc(0)
+	sh.zoneMu.Unlock()
+	return sh.base + f, err == nil
+}
+
+func (st clientStore) Parked(node int) (phys.Frame, bool) {
+	return st.s.shards[node].popAnyParked()
 }

@@ -309,12 +309,12 @@ func TestSetColorsValidation(t *testing.T) {
 func nonZero(n int) bool { return n != 0 }
 
 // A miss re-tries the color lists under the zone lock only when a
-// frame was parked after its fast path read the park count: with node
-// 0 drained, a frame freed between the fast path and serveMiss is
-// served at preferred placement, and with nothing parked since, the
-// miss goes straight to the dry zone.
+// frame was parked after its fast path read the park count: with the
+// machine drained, a frame freed between the fast path and serveMiss
+// is served at preferred placement, and with nothing parked since, the
+// miss goes straight to the dry zone and down an empty ladder.
 func TestServeMissRetriesAfterPark(t *testing.T) {
-	s, m, top := testServer(t, Config{DisableBorrow: true})
+	s, m, top := testServer(t, Config{})
 	c, err := s.NewClient(top.CoresOfNode(0)[0])
 	if err != nil {
 		t.Fatal(err)
@@ -352,40 +352,9 @@ func TestServeMissRetriesAfterPark(t *testing.T) {
 	}
 }
 
-// DisableBorrow is the paper-faithful fail-hard mode: once the home
-// shard runs out of claim-matching pages the client gets ErrNoMemory,
-// even though other shards still hold free frames.
-func TestDisableBorrowFailsHard(t *testing.T) {
-	s, m, top := testServer(t, Config{DisableBorrow: true})
-	c := coloredClient(t, s, m, top, 0)
-	var got int
-	for {
-		_, err := c.Alloc()
-		if err != nil {
-			if !errors.Is(err, ErrNoMemory) {
-				t.Fatalf("alloc %d: %v", got, err)
-			}
-			break
-		}
-		got++
-		if uint64(got) > m.Frames() {
-			t.Fatal("allocated more frames than the machine has")
-		}
-	}
-	if got == 0 {
-		t.Fatal("no allocations before exhaustion")
-	}
-	// The rest of the machine still has memory; only borrowing was off.
-	if st := s.Stats(); st.FreeFrames+st.Parked == 0 {
-		t.Error("machine fully drained despite DisableBorrow")
-	} else if st.DegradedAllocs() != 0 {
-		t.Errorf("borrows recorded with DisableBorrow: %+v", st.Borrows)
-	}
-}
-
-// With borrowing on, the ladder keeps serving past the claim: first
-// unassigned local colors, then local uncolored, then remote shards;
-// every below-preferred frame carries a loan until freed.
+// The ladder keeps serving past the claim: first unassigned local
+// colors, then the local zone, then remote shards; every
+// below-preferred frame carries a loan until freed.
 func TestBorrowLadderServesPastClaim(t *testing.T) {
 	s, m, top := testServer(t, Config{})
 	c := coloredClient(t, s, m, top, 0)
@@ -407,10 +376,10 @@ func TestBorrowLadderServesPastClaim(t *testing.T) {
 		t.Fatalf("served %d frames before ErrNoMemory, want all %d", len(frames), m.Frames())
 	}
 	// A single client exercises the borrow-unassigned-color rung (the
-	// home node past the claim) and the remote rung (other nodes).
-	// RungLocalUncolored needs a bucket whose bank and LLC colors are
-	// both claimed by *different* clients, which one client cannot
-	// produce — the hammer test covers it.
+	// home node past the claim) and the remote rung (other nodes, then
+	// the home node's rest). Its refills shatter the home zone before
+	// the ladder runs, so RungLocalUncolored, a local zone frame, needs
+	// a claim on another node (TestLadderKernelVsServe).
 	st := s.Stats()
 	if st.Borrows[kernel.RungBorrowColor] == 0 || st.Borrows[kernel.RungRemote] == 0 {
 		t.Errorf("ladder rungs unused: %+v", st.Borrows)

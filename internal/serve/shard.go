@@ -153,9 +153,9 @@ func (sh *shard) popMatch(c *Client, seq uint64) (phys.Frame, bool) {
 }
 
 // popUnassigned pops the parked frame Rows.Borrow lends the client —
-// the ladder's borrow-a-color rung, under the kernel's rule: a bank
-// color no client claims for bank-colored clients, an LLC color no
-// client claims for LLC-only ones.
+// the ladder's Lend, under the kernel's rule: a bank color no client
+// claims for bank-colored clients, an LLC color no client claims for
+// LLC-only ones.
 func (sh *shard) popUnassigned(c *Client, s *Server) (phys.Frame, bool) {
 	for {
 		bc, lc := sh.Borrow(sh.node, c.usingBank, c.llcMask, 0, s.assignedBank, s.assignedLLC)
@@ -169,8 +169,7 @@ func (sh *shard) popUnassigned(c *Client, s *Server) (phys.Frame, bool) {
 }
 
 // popAnyParked pops any parked frame regardless of color — the
-// ladder's uncolored rungs, spending a colored page when the zones
-// are dry: the newest frame of the first occupied bucket.
+// ladder's Parked: the newest frame of the first occupied bucket.
 func (sh *shard) popAnyParked() (phys.Frame, bool) {
 	for {
 		bc, lc := sh.First(sh.node)
@@ -189,7 +188,8 @@ func (sh *shard) popAnyParked() (phys.Frame, bool) {
 // if anything was parked since the fast path read the park count
 // parks (another client's shatter or free may have parked a match),
 // and shatters one more block while nothing matches; the zone dry, it
-// drops zoneMu and walks the borrow ladder, which locks other shards.
+// drops zoneMu and walks the ladder (kernel.Ladder), which locks one
+// shard at a time.
 // Past HighWater concurrent misses on the shard it rejects at once
 // with ErrBusy.
 func (sh *shard) serveMiss(c *Client, seq, parks uint64, s *Server) (phys.Frame, kernel.Rung, error) {
@@ -213,7 +213,7 @@ func (sh *shard) serveMiss(c *Client, seq, parks uint64, s *Server) (phys.Frame,
 	if ok {
 		return f, kernel.RungNone, nil
 	}
-	if f, rung, ok := s.borrow(c, sh); ok {
+	if f, rung, ok := kernel.Ladder(clientStore{s, c}, c.nodeOrder, true); ok {
 		return f, rung, nil
 	}
 	return 0, kernel.RungNone, ErrNoMemory

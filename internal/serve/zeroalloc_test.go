@@ -79,23 +79,23 @@ func TestZeroAllocColoredFastPath(t *testing.T) {
 }
 
 // TestZeroAllocInlineMiss gates the miss path: the high-water check,
-// the zone-locked park-count check, the failed shatter and the
-// ErrNoMemory return must not allocate. Node 0 is drained
-// completely under DisableBorrow so the first Alloc of every iteration
-// is a guaranteed popMatch miss that runs serveMiss end to end (and
-// comes back ErrNoMemory — the zone is dry and borrowing is off); the
-// iteration then frees and re-allocates one held frame so the state
-// entering the next iteration is identical. No drift, no ladder, no
-// loan-map insert.
+// the zone-locked park-count check, the failed shatter, a walk down
+// every rung of the ladder and the ErrNoMemory return must not
+// allocate. The whole machine is drained so the first Alloc of every
+// iteration is a guaranteed popMatch miss that runs serveMiss end to
+// end (and comes back ErrNoMemory — every zone and bucket is empty);
+// the iteration then frees and re-allocates one held frame so the
+// state entering the next iteration is identical. No drift, no loan.
 func TestZeroAllocInlineMiss(t *testing.T) {
-	s, m, top := testServer(t, Config{DisableBorrow: true})
+	s, m, top := testServer(t, Config{})
 	c, err := s.NewClient(top.CoresOfNode(0)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Claim every bank color of node 0 and every LLC color, so the
-	// claim covers all of the node's frames: once the held set below
-	// absorbs them, no future shatter can repark a match.
+	// first frame held below is a preferred one that a free parks on
+	// the claim again; the ladder then hands out the rest of the
+	// machine.
 	if err := c.SetColors(m.BankColorsOfNode(0), allLLC(m)); err != nil {
 		t.Fatal(err)
 	}
@@ -118,13 +118,14 @@ func TestZeroAllocInlineMiss(t *testing.T) {
 	sh := s.shards[0]
 	missesBefore := sh.misses.Load()
 	iters := 0
-	mustZeroAllocs(t, "inline miss on a drained shard", func() {
+	mustZeroAllocs(t, "inline miss on a drained machine", func() {
 		iters++
-		// Guaranteed miss: nothing matching is parked and the zone is
-		// dry, so serveMiss skips the retry (nothing was parked since
-		// the fast path), fails shatterLocked, and returns ErrNoMemory.
+		// Guaranteed miss: nothing is parked and every zone is dry, so
+		// serveMiss skips the retry (nothing was parked since the fast
+		// path), fails shatterLocked, finds no rung of the ladder, and
+		// returns ErrNoMemory.
 		if _, err := c.Alloc(); !errors.Is(err, ErrNoMemory) {
-			t.Fatalf("want ErrNoMemory from drained shard, got %v", err)
+			t.Fatalf("want ErrNoMemory from a drained machine, got %v", err)
 		}
 		// Restore the pre-iteration state through the fast path.
 		if err := c.Free(f); err != nil {
