@@ -142,18 +142,21 @@ chaos-smoke:
 adaptive-smoke:
 	$(GO) run -race ./cmd/tintbench -exp adaptive
 
+# Every fuzz target for FUZZTIME each (CI's fuzz job: FUZZTIME=10s).
+# -run=^$ skips the packages' tests; the seed corpora run in `make test`.
+FUZZTIME ?= 30s
+
 fuzz:
-	$(GO) test -fuzz=FuzzMmap -fuzztime=30s ./internal/kernel
-	$(GO) test -fuzz=FuzzKernelInterleaving -fuzztime=30s ./internal/kernel
-	$(GO) test -fuzz=FuzzRadixPT -fuzztime=30s ./internal/kernel
-	$(GO) test -fuzz=FuzzColorPop -fuzztime=30s ./internal/kernel
-	$(GO) test -fuzz=FuzzHeapBlockTable -fuzztime=30s ./internal/heap
-	$(GO) test -fuzz=FuzzServePop -fuzztime=30s ./internal/serve
-	$(GO) test -fuzz=FuzzWireFrame -fuzztime=30s ./internal/wire
-	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/trace
-	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=30s ./internal/bench
-	$(GO) test -fuzz=FuzzSuiteRegistry -fuzztime=30s ./internal/suite
-	$(GO) test -fuzz=FuzzEngineHeapOps -fuzztime=30s ./internal/engine
+	$(GO) test -fuzz=FuzzMmap -fuzztime=$(FUZZTIME) -run=^$$ ./internal/kernel
+	$(GO) test -fuzz=FuzzKernelInterleaving -fuzztime=$(FUZZTIME) -run=^$$ ./internal/kernel
+	$(GO) test -fuzz=FuzzRadixPT -fuzztime=$(FUZZTIME) -run=^$$ ./internal/kernel
+	$(GO) test -fuzz=FuzzColorPop -fuzztime=$(FUZZTIME) -run=^$$ ./internal/kernel
+	$(GO) test -fuzz=FuzzHeapBlockTable -fuzztime=$(FUZZTIME) -run=^$$ ./internal/heap
+	$(GO) test -fuzz=FuzzServePop -fuzztime=$(FUZZTIME) -run=^$$ ./internal/serve
+	$(GO) test -fuzz=FuzzWireFrame -fuzztime=$(FUZZTIME) -run=^$$ ./internal/wire
+	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=$(FUZZTIME) -run=^$$ ./internal/bench
+	$(GO) test -fuzz=FuzzSuiteRegistry -fuzztime=$(FUZZTIME) -run=^$$ ./internal/suite
+	$(GO) test -fuzz=FuzzEngineHeapOps -fuzztime=$(FUZZTIME) -run=^$$ ./internal/engine
 
 # vet plus the repo's own determinism/correctness/concurrency
 # analyzers (cmd/tintvet); see CONTRIBUTING.md for the rules they

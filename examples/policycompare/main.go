@@ -56,11 +56,7 @@ func main() {
 		if base == 0 {
 			base = float64(res.Runtime)
 		}
-		tot := sys.Mem().TotalStats()
-		remote := 0.0
-		if tot.DRAMReads > 0 {
-			remote = float64(tot.RemoteDRAM) / float64(tot.DRAMReads)
-		}
+		remote := sys.Mem().TotalStats().RemoteFrac()
 		l3 := sys.Mem().L3Stats()
 		fmt.Fprintf(w, "%s\t%.3f\t%d\t%.1f%%\t%.1f%%\n",
 			pol, float64(res.Runtime)/base, res.TotalIdle,

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"github.com/tintmalloc/tintmalloc/internal/clock"
+	"github.com/tintmalloc/tintmalloc/internal/mem"
 	"github.com/tintmalloc/tintmalloc/internal/policy"
 	"github.com/tintmalloc/tintmalloc/internal/stats"
 )
@@ -249,7 +250,8 @@ func NewDetailResult(cells []Cell) *DetailResult {
 	return d
 }
 
-// WriteTable prints the per-policy breakdown.
+// WriteTable prints the per-policy breakdown, then each policy's
+// per-thread block.
 func (d *DetailResult) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "Policy detail — %s (%s)\n", d.Workload, d.Config.Name)
 	fmt.Fprintf(w, "%-14s %9s %9s %8s %8s %8s\n",
@@ -264,4 +266,33 @@ func (d *DetailResult) WriteTable(w io.Writer) {
 			r.Cell.Last.L3MissRate*100,
 			r.Cell.Last.RowConflictFrac*100)
 	}
+	for _, r := range d.Rows {
+		d.writeThreads(w, r)
+	}
+}
+
+// writeThreads prints one policy's per-thread block from its last
+// repetition: the level that served each thread's accesses, the
+// remote share of its DRAM reads, and its mean cycles per access with
+// the page-fault cycles its accesses waited for counted in.
+func (d *DetailResult) writeThreads(w io.Writer, r DetailRow) {
+	fmt.Fprintf(w, "\nPer-thread detail — %s (last repetition)\n", r.Policy)
+	fmt.Fprintf(w, "%-7s %4s %10s %8s %8s %8s %8s %8s %9s %10s\n",
+		"thread", "core", "accesses", "L1", "L2", "L3", "DRAM", "remote%", "avg cyc", "fault cyc")
+	row := func(name, core string, st mem.CoreStats, fault clock.Dur) {
+		avg := 0.0
+		if st.Accesses > 0 {
+			avg = float64(st.TotalCycles+fault) / float64(st.Accesses)
+		}
+		fmt.Fprintf(w, "%-7s %4s %10d %8d %8d %8d %8d %7.1f%% %9.1f %10d\n",
+			name, core, st.Accesses, st.L1Hits, st.L2Hits, st.L3Hits, st.DRAMReads,
+			st.RemoteFrac()*100, avg, fault)
+	}
+	var tot mem.CoreStats
+	m := r.Cell.Last
+	for i, st := range m.ThreadMem {
+		row(fmt.Sprintf("t%d", i), fmt.Sprint(d.Config.Cores[i]), st, m.ThreadFaultCycles[i])
+		tot.Add(st)
+	}
+	row("total", "", tot, m.FaultCycles)
 }

@@ -1,11 +1,19 @@
 package bench_test
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/tintmalloc/tintmalloc/internal/bench"
+	"github.com/tintmalloc/tintmalloc/internal/clock"
+	"github.com/tintmalloc/tintmalloc/internal/engine"
+	"github.com/tintmalloc/tintmalloc/internal/kernel"
+	"github.com/tintmalloc/tintmalloc/internal/mem"
 	"github.com/tintmalloc/tintmalloc/internal/policy"
+	"github.com/tintmalloc/tintmalloc/internal/stats"
 	"github.com/tintmalloc/tintmalloc/internal/suite"
 	"github.com/tintmalloc/tintmalloc/internal/workload"
 )
@@ -138,6 +146,138 @@ func TestDetailCoversAllPolicies(t *testing.T) {
 		if !strings.Contains(sb.String(), p.String()) {
 			t.Errorf("detail table missing %s", p)
 		}
+	}
+	blocks := threadBlocks(t, sb.String())
+	if len(blocks) != len(policy.All()) {
+		t.Fatalf("%d per-thread blocks, want one per policy (%d)", len(blocks), len(policy.All()))
+	}
+	for _, p := range policy.All() {
+		rows := blocks[p.String()]
+		var names []string
+		for _, row := range rows {
+			names = append(names, row[0])
+		}
+		if want := []string{"t0", "t1", "t2", "t3", "total"}; !slices.Equal(names, want) {
+			t.Errorf("%s block rows %v, want %v", p, names, want)
+		}
+	}
+}
+
+// threadBlocks splits a rendered detail table into its per-thread
+// blocks by policy, each the fields of the rows under its header.
+func threadBlocks(t *testing.T, table string) map[string][][]string {
+	t.Helper()
+	out := map[string][][]string{}
+	for _, block := range strings.Split(table, "\n\n")[1:] {
+		lines := strings.Split(strings.TrimSuffix(block, "\n"), "\n")
+		name, ok := strings.CutPrefix(lines[0], "Per-thread detail — ")
+		if !ok || len(lines) < 3 {
+			t.Fatalf("malformed per-thread block:\n%s", block)
+		}
+		name = strings.TrimSuffix(name, " (last repetition)")
+		for _, l := range lines[2:] {
+			out[name] = append(out[name], strings.Fields(l))
+		}
+	}
+	return out
+}
+
+// TestDetailThreadBlock holds the detail table's per-thread block to
+// the engine's access stream. Each thread's counters must be what its
+// own accesses did, the threads must sum to the memory system's
+// totals, the run's remote fraction and its fault cycles, and each
+// rendered row must average the access and fault cycles the trace
+// saw.
+func TestDetailThreadBlock(t *testing.T) {
+	mach := newMachine(t)
+	cfg, err := bench.ConfigByName(mach.Topo, "8_threads_4_nodes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, err := workload.ByName("equake")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := bench.RunSpec{Workload: wl, Config: cfg, Policy: policy.BPM, Params: smallParams}
+	n := cfg.Threads()
+	want := make([]mem.CoreStats, n)
+	faults := make([]clock.Dur, n)
+	var ms *mem.System
+	m, err := bench.RunInstrumented(mach, spec, func(_ *kernel.Kernel, e *engine.Engine) {
+		ms = e.Mem()
+		e.SetTracer(func(ev engine.TraceEvent) {
+			st := &want[ev.Thread]
+			st.Accesses++
+			switch ev.Level {
+			case mem.LevelL1:
+				st.L1Hits++
+			case mem.LevelL2:
+				st.L2Hits++
+			case mem.LevelL3:
+				st.L3Hits++
+			case mem.LevelDRAMRemote:
+				st.RemoteDRAM++
+				st.DRAMReads++
+			case mem.LevelDRAMLocal:
+				st.DRAMReads++
+			}
+			st.TotalCycles += clock.Dur(ev.Done-ev.Start) - ev.FaultCycles
+			faults[ev.Thread] += ev.FaultCycles
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m.ThreadMem, want) {
+		t.Errorf("ThreadMem = %+v\ntrace counts %+v", m.ThreadMem, want)
+	}
+	if !slices.Equal(m.ThreadFaultCycles, faults) {
+		t.Errorf("ThreadFaultCycles = %v, trace counts %v", m.ThreadFaultCycles, faults)
+	}
+	var sum mem.CoreStats
+	var sumFaults clock.Dur
+	for i := range m.ThreadMem {
+		sum.Add(m.ThreadMem[i])
+		sumFaults += m.ThreadFaultCycles[i]
+	}
+	if tot := ms.TotalStats(); sum != tot {
+		t.Errorf("threads sum to %+v, mem totals %+v", sum, tot)
+	}
+	if sumFaults != m.FaultCycles || sumFaults == 0 {
+		t.Errorf("thread fault cycles sum to %d, run has %d", sumFaults, m.FaultCycles)
+	}
+	if got := sum.RemoteFrac(); got != m.RemoteDRAMFrac || got == 0 {
+		t.Errorf("threads' remote fraction %v, run's %v", got, m.RemoteDRAMFrac)
+	}
+
+	cell := bench.Cell{Spec: spec, Last: m,
+		Runtime: stats.Summarize([]float64{float64(m.Runtime)}),
+		Idle:    stats.Summarize([]float64{float64(m.TotalIdle)})}
+	var sb strings.Builder
+	bench.NewDetailResult([]bench.Cell{cell}).WriteTable(&sb)
+	rows := threadBlocks(t, sb.String())["BPM"]
+	if len(rows) != n+1 {
+		t.Fatalf("BPM block has %d rows, want %d threads plus total:\n%s", len(rows), n, sb.String())
+	}
+	fields := func(name string, core []string, st mem.CoreStats, fault clock.Dur) []string {
+		out := append([]string{name}, core...)
+		return append(out, fmt.Sprint(st.Accesses), fmt.Sprint(st.L1Hits), fmt.Sprint(st.L2Hits),
+			fmt.Sprint(st.L3Hits), fmt.Sprint(st.DRAMReads),
+			fmt.Sprintf("%.1f%%", 100*float64(st.RemoteDRAM)/float64(st.DRAMReads)),
+			fmt.Sprintf("%.1f", float64(st.TotalCycles+fault)/float64(st.Accesses)),
+			fmt.Sprint(fault))
+	}
+	for i, st := range want {
+		if w := fields(fmt.Sprintf("t%d", i), []string{fmt.Sprint(cfg.Cores[i])}, st, faults[i]); !slices.Equal(rows[i], w) {
+			t.Errorf("thread row %v, want %v", rows[i], w)
+		}
+	}
+	total := fields("total", nil, ms.TotalStats(), m.FaultCycles)
+	if !slices.Equal(rows[n], total) {
+		t.Errorf("total row %v, want %v", rows[n], total)
+	}
+	if remote := fmt.Sprintf("%.1f%%", m.RemoteDRAMFrac*100); rows[n][6] != remote {
+		t.Errorf("total row remote %s, policy row's remote%% %s", rows[n][6], remote)
 	}
 }
 

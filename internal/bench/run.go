@@ -32,8 +32,13 @@ type RunMetrics struct {
 	TotalIdle     clock.Dur
 	ThreadRuntime []clock.Dur
 	ThreadIdle    []clock.Dur
-	FaultCycles   clock.Dur // summed over threads
-	Ops           uint64    // engine ops executed (perf accounting)
+	// ThreadMem[i] holds the memory counters of thread i's core (each
+	// thread runs on a core of its own); ThreadFaultCycles[i] is the
+	// simulated time thread i spent in page faults.
+	ThreadMem         []mem.CoreStats
+	ThreadFaultCycles []clock.Dur
+	FaultCycles       clock.Dur // summed over threads
+	Ops               uint64    // engine ops executed (perf accounting)
 	// Memory-system ratios (0..1).
 	RemoteDRAMFrac  float64 // remote / all DRAM demand reads
 	L3MissRate      float64
@@ -101,13 +106,15 @@ func RunInstrumented(mach *Machine, spec RunSpec, instrument func(*kernel.Kernel
 	out.ThreadRuntime = res.ThreadRuntime
 	out.ThreadIdle = res.ThreadIdle
 	out.Ops = res.Ops
+	out.ThreadMem = make([]mem.CoreStats, len(spec.Config.Cores))
+	for i, core := range spec.Config.Cores {
+		out.ThreadMem[i] = ms.CoreStats(core)
+	}
+	out.ThreadFaultCycles = res.FaultCycles
 	for _, f := range res.FaultCycles {
 		out.FaultCycles += f
 	}
-	tot := ms.TotalStats()
-	if tot.DRAMReads > 0 {
-		out.RemoteDRAMFrac = float64(tot.RemoteDRAM) / float64(tot.DRAMReads)
-	}
+	out.RemoteDRAMFrac = ms.TotalStats().RemoteFrac()
 	l3 := ms.L3Stats()
 	if l3.Accesses > 0 {
 		out.L3MissRate = float64(l3.Misses) / float64(l3.Accesses)

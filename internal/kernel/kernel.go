@@ -315,20 +315,6 @@ func (k *Kernel) ColoredFreePages(bankColor, llcColor int) int {
 // TotalColoredFree returns all pages across every color list.
 func (k *Kernel) TotalColoredFree() uint64 { return k.colors.total }
 
-// ColorListSnapshot returns the page count parked on every color
-// list as a [bank color][LLC color] matrix — the /proc-style view of
-// the paper's color_list[128][32].
-func (k *Kernel) ColorListSnapshot() [][]int {
-	out := make([][]int, k.colors.nBank)
-	for bc := range out {
-		out[bc] = make([]int, k.colors.nLLC)
-		for lc := range out[bc] {
-			out[bc][lc] = len(k.colors.list(bc, lc))
-		}
-	}
-	return out
-}
-
 // NewProcess creates an empty address space.
 func (k *Kernel) NewProcess() *Process {
 	p := &Process{

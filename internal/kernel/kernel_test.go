@@ -3,7 +3,6 @@ package kernel
 import (
 	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"github.com/tintmalloc/tintmalloc/internal/buddy"
@@ -727,53 +726,6 @@ func TestNoFrameDoubleUseUnderMixedLoad(t *testing.T) {
 			a.pages[idx] = a.pages[len(a.pages)-1]
 			a.pages = a.pages[:len(a.pages)-1]
 		}
-	}
-}
-
-func TestWriteReport(t *testing.T) {
-	k := boot(t)
-	m := k.Mapping()
-	task := newTask(t, k, 0)
-	setColors(t, task, m.BankColorsOfNode(0)[:2], []int{0})
-	va, _ := task.Mmap(0, 4*phys.PageSize, 0)
-	for i := uint64(0); i < 4; i++ {
-		if _, _, err := task.Translate(va + i*phys.PageSize); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var sb strings.Builder
-	k.WriteReport(&sb)
-	out := sb.String()
-	for _, want := range []string{"kernel memory report", "zone 0", "colored free pages",
-		"faults: ", "task 0 (core 0)"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestColorListSnapshot(t *testing.T) {
-	k := boot(t)
-	m := k.Mapping()
-	task := newTask(t, k, 0)
-	bc := m.BankColorsOfNode(0)[0]
-	setColors(t, task, []int{bc}, []int{0})
-	va, _ := task.Mmap(0, phys.PageSize, 0)
-	if _, _, err := task.Translate(va); err != nil {
-		t.Fatal(err)
-	}
-	snap := k.ColorListSnapshot()
-	if len(snap) != m.NumBankColors() || len(snap[0]) != m.NumLLCColors() {
-		t.Fatalf("snapshot shape %dx%d", len(snap), len(snap[0]))
-	}
-	var total int
-	for _, row := range snap {
-		for _, n := range row {
-			total += n
-		}
-	}
-	if uint64(total) != k.TotalColoredFree() {
-		t.Errorf("snapshot total %d != TotalColoredFree %d", total, k.TotalColoredFree())
 	}
 }
 

@@ -100,6 +100,26 @@ type CoreStats struct {
 	TotalCycles clock.Dur
 }
 
+// Add accumulates o into c.
+func (c *CoreStats) Add(o CoreStats) {
+	c.Accesses += o.Accesses
+	c.L1Hits += o.L1Hits
+	c.L2Hits += o.L2Hits
+	c.L3Hits += o.L3Hits
+	c.DRAMReads += o.DRAMReads
+	c.RemoteDRAM += o.RemoteDRAM
+	c.TotalCycles += o.TotalCycles
+}
+
+// RemoteFrac returns the share of DRAM reads served by a remote
+// controller (0 when there were none).
+func (c CoreStats) RemoteFrac() float64 {
+	if c.DRAMReads == 0 {
+		return 0
+	}
+	return float64(c.RemoteDRAM) / float64(c.DRAMReads)
+}
+
 // System is the machine's memory hierarchy.
 type System struct {
 	topo    *topology.Topology
@@ -291,13 +311,7 @@ func (s *System) CoreStats(c topology.CoreID) CoreStats { return s.stats[c] }
 func (s *System) TotalStats() CoreStats {
 	var out CoreStats
 	for _, st := range s.stats {
-		out.Accesses += st.Accesses
-		out.L1Hits += st.L1Hits
-		out.L2Hits += st.L2Hits
-		out.L3Hits += st.L3Hits
-		out.DRAMReads += st.DRAMReads
-		out.RemoteDRAM += st.RemoteDRAM
-		out.TotalCycles += st.TotalCycles
+		out.Add(st)
 	}
 	return out
 }
